@@ -544,13 +544,9 @@ class ChnsSolver {
     return gmgHier_;
   }
 
-  const DistTree<DIM>& gmgTreeAt(const la::GmgHierarchy<DIM>& hier,
-                                 int l) const {
-    return l == 0 ? tree_ : hier.coarseTrees[l - 1];
-  }
-
   /// Restricts a per-element coefficient down the hierarchy's tree chain
-  /// (volume-weighted cell averaging per hop). Level 0 is moved in as-is.
+  /// (volume-weighted cell averaging per hop, replayed from the hierarchy's
+  /// cell plans). Level 0 is moved in as-is.
   std::vector<sim::PerRank<std::vector<Real>>> gmgRestrictCell(
       const la::GmgHierarchy<DIM>& hier, int numLevels,
       sim::PerRank<std::vector<Real>> fine0) const {
@@ -558,9 +554,8 @@ class ChnsSolver {
     out.reserve(numLevels);
     out.push_back(std::move(fine0));
     for (int l = 1; l < numLevels; ++l)
-      out.push_back(intergrid::transferCell(gmgTreeAt(hier, l - 1),
-                                            out.back(),
-                                            hier.coarseTrees[l - 1]));
+      out.push_back(intergrid::applyCellPlan(*comm_, hier.cellPlans[l - 1],
+                                             out.back()));
     return out;
   }
 

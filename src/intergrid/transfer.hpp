@@ -1,6 +1,6 @@
 // Distributed multi-level inter-grid transfer (paper Sec II-C2).
 //
-// Three entry points:
+// Entry points:
 //  - transferNodal:      query-based transfer of node-centered data between
 //                        two meshes differing by arbitrarily many levels in
 //                        both directions at once (the remeshing workhorse:
@@ -16,6 +16,9 @@
 //                        SFC-merge interpolation locally.
 //  - transferCell*:      cell-centered copy (coarse->fine) and volume-
 //                        weighted averaging (fine->coarse).
+//  - NodalPlan/CellPlan: transferNodal / transferCell between a fixed mesh
+//                        pair (GMG levels) resolved once, then applied
+//                        bitwise-identically with one values-only exchange.
 #pragma once
 
 #include <algorithm>
@@ -42,23 +45,107 @@ std::array<std::uint32_t, DIM> cellPointForKey(
   return p;
 }
 
+/// Shape-function weights (kNodes of them) of element `oct` at integer
+/// position `k`, which must lie inside or on the closure of the element.
+template <int DIM>
+void shapeWeights(const Octant<DIM>& oct,
+                  const std::type_identity_t<NodeKey<DIM>>& k, Real* w) {
+  VecN<DIM> xi;
+  for (int d = 0; d < DIM; ++d) {
+    xi[d] = static_cast<Real>(k[d] - oct.x[d]) / static_cast<Real>(oct.size());
+    PT_CHECK(xi[d] >= -1e-12 && xi[d] <= 1.0 + 1e-12);
+  }
+  for (int i = 0; i < kNumChildren<DIM>; ++i) w[i] = fem::shape<DIM>(i, xi);
+}
+
+/// out = sum_i w[i] * vals[i] per dof, summed in corner order from 0.0:
+/// the one interpolation sum every nodal transfer path evaluates. NDOF > 0
+/// fixes the dof count at compile time (register accumulators, the same
+/// arithmetic).
+template <int DIM, int NDOF = 0>
+void weightedSum(const Real* w, const Real* vals, int ndof, Real* out) {
+  constexpr int kC = kNumChildren<DIM>;
+  if constexpr (NDOF > 0) {
+    Real acc[NDOF] = {};
+    for (int i = 0; i < kC; ++i)
+      for (int d = 0; d < NDOF; ++d) acc[d] += w[i] * vals[i * NDOF + d];
+    for (int d = 0; d < NDOF; ++d) out[d] = acc[d];
+  } else {
+    for (int d = 0; d < ndof; ++d) out[d] = 0.0;
+    for (int i = 0; i < kC; ++i)
+      for (int d = 0; d < ndof; ++d) out[d] += w[i] * vals[i * ndof + d];
+  }
+}
+
 /// Evaluates the (gathered, hanging-consistent) elemental interpolant of
 /// element `e` at integer position `k` (which must lie inside or on the
 /// closure of the element). `vals` = kNodes*ndof gathered corner values.
 template <int DIM>
 void evalInElement(const Octant<DIM>& oct, const Real* vals, int ndof,
                    const std::type_identity_t<NodeKey<DIM>>& k, Real* out) {
-  VecN<DIM> xi;
-  for (int d = 0; d < DIM; ++d) {
-    xi[d] = static_cast<Real>(k[d] - oct.x[d]) / static_cast<Real>(oct.size());
-    PT_CHECK(xi[d] >= -1e-12 && xi[d] <= 1.0 + 1e-12);
+  Real w[kNumChildren<DIM>];
+  shapeWeights<DIM>(oct, k, w);
+  weightedSum<DIM>(w, vals, ndof, out);
+}
+
+/// The old-mesh element a nodal query key evaluates in.
+template <int DIM>
+std::size_t locateNodalQuery(const RankMesh<DIM>& orm,
+                             const std::type_identity_t<NodeKey<DIM>>& k) {
+  const std::int64_t e = locatePoint(orm.elems, cellPointForKey<DIM>(k));
+  PT_CHECK_MSG(e >= 0, "old grid does not cover query point");
+  return static_cast<std::size_t>(e);
+}
+
+/// Query key i of a packed nodal query batch.
+template <int DIM>
+NodeKey<DIM> queryKey(const std::vector<std::uint32_t>& buf, std::size_t i) {
+  NodeKey<DIM> k;
+  for (int d = 0; d < DIM; ++d) k[d] = buf[i * DIM + d];
+  return k;
+}
+
+/// New cell i of a packed cell query batch ((x[DIM], level) per cell).
+template <int DIM>
+Octant<DIM> queryCell(const std::vector<std::uint32_t>& buf, std::size_t i) {
+  Octant<DIM> nc;
+  for (int d = 0; d < DIM; ++d) nc.x[d] = buf[i * (DIM + 1) + d];
+  nc.level = static_cast<Level>(buf[i * (DIM + 1) + DIM]);
+  return nc;
+}
+
+template <int DIM>
+std::array<std::uint32_t, DIM> cellCenter(const Octant<DIM>& o) {
+  std::array<std::uint32_t, DIM> c;
+  for (int d = 0; d < DIM; ++d) c[d] = o.x[d] + o.size() / 2;
+  return c;
+}
+
+template <int DIM>
+Real cellVolume(const Octant<DIM>& o) {
+  Real vol = 1.0;
+  for (int d = 0; d < DIM; ++d) vol *= o.physSize();
+  return vol;
+}
+
+/// The terms of the partial volume-weighted sum an old rank answers for
+/// new cell `nc`, in summation order: fn(old leaf, weight volume). The
+/// center owner (round 1) copies from a covering old leaf when there is
+/// one (weighted by nc's volume); otherwise, and in round 2, the rank's
+/// own leaves inside nc contribute with their volumes.
+template <int DIM, typename Fn>
+void forEachCellTerm(const OctList<DIM>& elems, const Octant<DIM>& nc,
+                     bool centerOwner, Fn&& fn) {
+  if (centerOwner) {
+    const std::int64_t e0 = locatePoint(elems, cellCenter(nc));
+    if (e0 >= 0 && elems[e0].level <= nc.level) {
+      fn(static_cast<std::size_t>(e0), cellVolume(nc));
+      return;
+    }
   }
-  constexpr int kC = kNumChildren<DIM>;
-  for (int d = 0; d < ndof; ++d) out[d] = 0.0;
-  for (int i = 0; i < kC; ++i) {
-    const Real N = fem::shape<DIM>(i, xi);
-    for (int d = 0; d < ndof; ++d) out[d] += N * vals[i * ndof + d];
-  }
+  auto [i0, i1] = overlappedLocalRange(elems, nc, nc);
+  for (std::size_t e = i0; e < i1; ++e)
+    if (nc.isAncestorOf(elems[e])) fn(e, cellVolume(elems[e]));
 }
 
 }  // namespace detail
@@ -173,15 +260,11 @@ sim::SparseSends<Real> answerNodalQueries(
       const std::size_t nq = buf.size() / DIM;
       std::vector<Real> ans(nq * ndof);
       for (std::size_t i = 0; i < nq; ++i) {
-        NodeKey<DIM> k;
-        for (int d = 0; d < DIM; ++d) k[d] = buf[i * DIM + d];
-        const auto cell = detail::cellPointForKey<DIM>(k);
-        const std::int64_t e = locatePoint(orm.elems, cell);
-        PT_CHECK_MSG(e >= 0, "old grid does not cover query point");
-        fem::gatherElem(orm, static_cast<std::size_t>(e), oldF[r], ndof,
-                        vals.data());
-        detail::evalInElement<DIM>(orm.elems[e], vals.data(), ndof, k,
-                                   &ans[i * ndof]);
+        const NodeKey<DIM> k = queryKey<DIM>(buf, i);
+        const std::size_t e = locateNodalQuery(orm, k);
+        fem::gatherElem(orm, e, oldF[r], ndof, vals.data());
+        evalInElement<DIM>(orm.elems[e], vals.data(), ndof, k,
+                           &ans[i * ndof]);
       }
       comm.chargeWork(r, 60.0 * nq * ndof);
       aSends[r].emplace_back(src, std::move(ans));
@@ -461,9 +544,7 @@ sim::PerRank<std::vector<Real>> transferCell(
     out[r].assign(elems.size(), 0.0);
     std::vector<std::vector<std::uint32_t>> buf(p);
     for (std::size_t e = 0; e < elems.size(); ++e) {
-      std::array<std::uint32_t, DIM> c;
-      for (int d = 0; d < DIM; ++d) c[d] = elems[e].x[d] + elems[e].size() / 2;
-      const int owner = spl.ownerOfPoint(c);
+      const int owner = spl.ownerOfPoint(detail::cellCenter(elems[e]));
       PT_CHECK(owner >= 0);
       pending[r][owner].push_back(e);
       for (int d = 0; d < DIM; ++d) buf[owner].push_back(elems[e].x[d]);
@@ -481,35 +562,14 @@ sim::PerRank<std::vector<Real>> transferCell(
     const auto& elems = oldTree.localOf(r);
     for (const auto& [src, buf] : qRecv[r]) {
       const std::size_t nq = buf.size() / (DIM + 1);
-      std::vector<Real> ans(nq * 2);  // (weightedSum, volume) per query
-      for (std::size_t i = 0; i < nq; ++i) {
-        Octant<DIM> nc;
-        for (int d = 0; d < DIM; ++d) nc.x[d] = buf[i * (DIM + 1) + d];
-        nc.level = static_cast<Level>(buf[i * (DIM + 1) + DIM]);
-        std::array<std::uint32_t, DIM> c;
-        for (int d = 0; d < DIM; ++d) c[d] = nc.x[d] + nc.size() / 2;
-        const std::int64_t e0 = locatePoint(elems, c);
-        if (e0 >= 0 && elems[e0].level <= nc.level) {
-          // Old cell covers the new cell: plain copy, full weight.
-          Real vol = 1.0;
-          for (int d = 0; d < DIM; ++d) vol *= nc.physSize();
-          ans[i * 2] = oldVals[r][e0] * vol;
-          ans[i * 2 + 1] = vol;
-        } else {
-          // Old cells are finer: average my leaves inside nc.
-          auto [i0, i1] = overlappedLocalRange(elems, nc, nc);
-          Real wsum = 0, vsum = 0;
-          for (std::size_t e = i0; e < i1; ++e) {
-            if (!nc.isAncestorOf(elems[e])) continue;
-            Real vol = 1.0;
-            for (int d = 0; d < DIM; ++d) vol *= elems[e].physSize();
-            wsum += oldVals[r][e] * vol;
-            vsum += vol;
-          }
-          ans[i * 2] = wsum;
-          ans[i * 2 + 1] = vsum;
-        }
-      }
+      std::vector<Real> ans(nq * 2, 0.0);  // (weightedSum, volume) per query
+      for (std::size_t i = 0; i < nq; ++i)
+        detail::forEachCellTerm(elems, detail::queryCell<DIM>(buf, i),
+                                /*centerOwner=*/true,
+                                [&](std::size_t e, Real vol) {
+                                  ans[i * 2] += oldVals[r][e] * vol;
+                                  ans[i * 2 + 1] += vol;
+                                });
       comm.chargeWork(r, 30.0 * nq);
       aSends[r].emplace_back(src, std::move(ans));
     }
@@ -546,12 +606,9 @@ sim::PerRank<std::vector<Real>> transferCell(
     const auto& elems = newTree.localOf(r);
     std::vector<std::vector<std::uint32_t>> buf(p);
     for (std::size_t e = 0; e < elems.size(); ++e) {
-      Real vol = 1.0;
-      for (int d = 0; d < DIM; ++d) vol *= elems[e].physSize();
-      if (vsum[r][e] >= vol * (1.0 - 1e-9)) continue;  // fully covered
-      std::array<std::uint32_t, DIM> c;
-      for (int d = 0; d < DIM; ++d) c[d] = elems[e].x[d] + elems[e].size() / 2;
-      const int centerOwner = spl.ownerOfPoint(c);
+      if (vsum[r][e] >= detail::cellVolume(elems[e]) * (1.0 - 1e-9))
+        continue;  // fully covered
+      const int centerOwner = spl.ownerOfPoint(detail::cellCenter(elems[e]));
       for (int q : overlappedRanks(oldEnds, elems[e], elems[e])) {
         if (q == centerOwner) continue;
         pending2[r][q].push_back(e);
@@ -569,19 +626,13 @@ sim::PerRank<std::vector<Real>> transferCell(
     for (const auto& [src, buf] : qRecv2[r]) {
       const std::size_t nq = buf.size() / (DIM + 1);
       std::vector<Real> ans(nq * 2, 0.0);
-      for (std::size_t i = 0; i < nq; ++i) {
-        Octant<DIM> nc;
-        for (int d = 0; d < DIM; ++d) nc.x[d] = buf[i * (DIM + 1) + d];
-        nc.level = static_cast<Level>(buf[i * (DIM + 1) + DIM]);
-        auto [i0, i1] = overlappedLocalRange(elems, nc, nc);
-        for (std::size_t e = i0; e < i1; ++e) {
-          if (!nc.isAncestorOf(elems[e])) continue;
-          Real vol = 1.0;
-          for (int d = 0; d < DIM; ++d) vol *= elems[e].physSize();
-          ans[i * 2] += oldVals[r][e] * vol;
-          ans[i * 2 + 1] += vol;
-        }
-      }
+      for (std::size_t i = 0; i < nq; ++i)
+        detail::forEachCellTerm(elems, detail::queryCell<DIM>(buf, i),
+                                /*centerOwner=*/false,
+                                [&](std::size_t e, Real vol) {
+                                  ans[i * 2] += oldVals[r][e] * vol;
+                                  ans[i * 2 + 1] += vol;
+                                });
       aSends2[r].emplace_back(src, std::move(ans));
     }
   }
@@ -597,6 +648,340 @@ sim::PerRank<std::vector<Real>> transferCell(
     for (std::size_t e = 0; e < out[r].size(); ++e) {
       PT_CHECK_MSG(vsum[r][e] > 0, "new cell not covered by old grid");
       out[r][e] = wsum[r][e] / vsum[r][e];
+    }
+  }
+  return out;
+}
+
+// ---- Transfer plans between fixed mesh pairs -------------------------------
+//
+// GMG restricts and prolongs between the same two meshes on every V-cycle
+// until the next remesh. A plan resolves once what transferNodal /
+// transferCell recompute per call — splitter routing, the query exchange,
+// point location, shape weights, covered volumes — so an apply is the local
+// arithmetic plus ONE values-only sparse exchange (charged through
+// SimComm::chargeSparseExchange with the answer payload sizes; the values
+// land directly in the caller's output) and no allgather. Applies evaluate
+// the same expressions in the same order as the per-call transfers, so
+// they are bitwise identical to them.
+
+/// Nodal transfer plan: one entry per new-mesh node, holding the old-mesh
+/// element it evaluates in, its kNodes shape weights and its landing node.
+/// Entries are grouped by answering (old-mesh) rank and, within it, by
+/// requesting (new-mesh) rank in ascending order — the batch order of
+/// transferNodal.
+template <int DIM>
+struct NodalPlan {
+  /// Per answering rank: (requesting rank, entry count), ascending.
+  sim::PerRank<std::vector<std::pair<int, std::size_t>>> batches;
+  /// Per answering rank, per entry: source element (answering rank's local
+  /// index) and landing node (requesting rank's local index).
+  sim::PerRank<std::vector<std::uint32_t>> elem, land;
+  /// Per answering rank: kNodes shape weights per entry.
+  sim::PerRank<std::vector<Real>> weights;
+};
+
+/// Builds the plan of transferNodal(oldMesh, ., newMesh, .) with the same
+/// query helpers: charges its splitter gather, query build, query exchange
+/// and point location once.
+template <int DIM>
+NodalPlan<DIM> buildNodalPlan(const Mesh<DIM>& oldMesh,
+                              const Mesh<DIM>& newMesh) {
+  sim::SimComm& comm = oldMesh.comm();
+  const int p = comm.size();
+  constexpr int kC = kNumChildren<DIM>;
+  detail::NodalQueries<DIM> q =
+      detail::buildNodalQueries(newMesh, detail::localSplitters(oldMesh));
+  auto qRecv = comm.sparseExchange(q.sends);
+  NodalPlan<DIM> plan;
+  plan.batches.resize(p);
+  plan.elem.resize(p);
+  plan.land.resize(p);
+  plan.weights.resize(p);
+  for (int r = 0; r < p; ++r) {
+    const RankMesh<DIM>& orm = oldMesh.rank(r);
+    std::size_t n = 0;  // exact sizes: plans live as long as the hierarchy
+    for (const auto& [src, buf] : qRecv[r]) n += buf.size() / DIM;
+    plan.elem[r].reserve(n);
+    plan.land[r].reserve(n);
+    plan.weights[r].reserve(n * kC);
+    for (const auto& [src, buf] : qRecv[r]) {
+      const std::size_t nq = buf.size() / DIM;
+      const auto& idxs = q.pending[src][r];
+      PT_CHECK(idxs.size() == nq);
+      plan.batches[r].emplace_back(src, nq);
+      for (std::size_t i = 0; i < nq; ++i) {
+        const NodeKey<DIM> k = detail::queryKey<DIM>(buf, i);
+        const std::size_t e = detail::locateNodalQuery(orm, k);
+        plan.elem[r].push_back(static_cast<std::uint32_t>(e));
+        plan.land[r].push_back(static_cast<std::uint32_t>(idxs[i]));
+        plan.weights[r].resize(plan.weights[r].size() + kC);
+        detail::shapeWeights<DIM>(orm.elems[e], k,
+                                  plan.weights[r].data() +
+                                      plan.weights[r].size() - kC);
+      }
+      comm.chargeWork(r, 40.0 * nq);
+    }
+  }
+  return plan;
+}
+
+namespace detail {
+
+/// Answering rank r's entries of a nodal plan (NDOF > 0: dof count fixed
+/// at compile time, else `ndof`); returns the entry count.
+template <int DIM, int NDOF>
+std::size_t applyNodalEntries(const NodalPlan<DIM>& plan, int r,
+                              const RankMesh<DIM>& orm,
+                              const std::vector<Real>& x, int ndof,
+                              Field& out) {
+  constexpr int kC = kNumChildren<DIM>;
+  constexpr int kMaxNdof = 8;
+  const int nd = NDOF > 0 ? NDOF : ndof;
+  PT_CHECK(nd >= 1 && nd <= kMaxNdof);
+  Real vals[kC * kMaxNdof];
+  const std::uint32_t* elem = plan.elem[r].data();
+  const std::uint32_t* land = plan.land[r].data();
+  const Real* w = plan.weights[r].data();
+  std::size_t i = 0;
+  for (const auto& [dst, n] : plan.batches[r]) {
+    Real* o = out[dst].data();
+    for (const std::size_t end = i + n; i < end; ++i) {
+      fem::gatherElem(orm, elem[i], x, nd, vals);
+      weightedSum<DIM, NDOF>(w + i * kC, vals, nd,
+                             o + std::size_t(land[i]) * nd);
+    }
+  }
+  return i;
+}
+
+}  // namespace detail
+
+/// Applies a nodal plan: out (a new-mesh field of `ndof`, sized by the
+/// caller) receives oldF evaluated at every new node — bitwise what
+/// transferNodal returns. Allocates no field storage.
+template <int DIM>
+void applyNodalPlan(const NodalPlan<DIM>& plan, const Mesh<DIM>& oldMesh,
+                    const Field& oldF, int ndof, Field& out) {
+  sim::SimComm& comm = oldMesh.comm();
+  for (int r = 0; r < comm.size(); ++r) {
+    const RankMesh<DIM>& orm = oldMesh.rank(r);
+    std::size_t n;
+    switch (ndof) {  // the solvers' dof counts: scalar, CH pair, velocity
+      case 1:
+        n = detail::applyNodalEntries<DIM, 1>(plan, r, orm, oldF[r], 1, out);
+        break;
+      case 2:
+        n = detail::applyNodalEntries<DIM, 2>(plan, r, orm, oldF[r], 2, out);
+        break;
+      case 3:
+        n = detail::applyNodalEntries<DIM, 3>(plan, r, orm, oldF[r], 3, out);
+        break;
+      default:
+        n = detail::applyNodalEntries<DIM, 0>(plan, r, orm, oldF[r], ndof,
+                                              out);
+    }
+    comm.chargeWork(r, 2.0 * kNumChildren<DIM> * ndof *
+                           static_cast<double>(n));
+  }
+  comm.chargeSparseExchange(plan.batches, sizeof(Real) * ndof);
+}
+
+/// Cell (volume-average) transfer plan. Each answered query of
+/// transferCell — round 1 (center owner) or round 2 (the other overlapped
+/// old ranks) — becomes one partial weighted sum of old-leaf terms on its
+/// answering rank; each new cell sums its partials in transferCell's
+/// combine order and divides by its covered volume.
+template <int DIM>
+struct CellPlan {
+  /// Per answering (old-tree) rank: (requesting rank, partial count),
+  /// ascending; a requester's round-1 partials precede its round-2 ones.
+  sim::PerRank<std::vector<std::pair<int, std::size_t>>> batches;
+  /// Per answering rank: CSR over partials of their (old leaf, volume)
+  /// terms, in summation order.
+  sim::PerRank<std::vector<std::size_t>> termStart;
+  sim::PerRank<std::vector<std::uint32_t>> termLeaf;
+  sim::PerRank<std::vector<Real>> termVol;
+  /// Per requesting (new-tree) rank: CSR over new cells of the partials
+  /// they sum, as (answering rank, partial index): the center owner's
+  /// first, then the other overlapped ranks ascending.
+  sim::PerRank<std::vector<std::size_t>> partStart;
+  sim::PerRank<std::vector<std::pair<int, std::uint32_t>>> parts;
+  /// Per requesting rank, per new cell: the covered volume (the divisor).
+  sim::PerRank<std::vector<Real>> vol;
+};
+
+/// Builds the plan of transferCell(oldTree, ., newTree): charges the
+/// routing-table gather and both rounds' query and (volume) reply
+/// exchanges once.
+template <int DIM>
+CellPlan<DIM> buildCellPlan(const DistTree<DIM>& oldTree,
+                            const DistTree<DIM>& newTree) {
+  sim::SimComm& comm = oldTree.comm();
+  const int p = comm.size();
+  const TransferTables<DIM> tables = gatherTransferTables(oldTree);
+  // One partial as recorded by its answering rank.
+  struct Partial {
+    std::size_t cell;  ///< new cell (requesting rank's local index)
+    std::vector<std::pair<std::uint32_t, Real>> terms;
+  };
+  // [round][answering rank][requesting rank] -> partials in query order.
+  std::vector<sim::PerRank<std::vector<std::vector<Partial>>>> recs(
+      2, sim::PerRank<std::vector<std::vector<Partial>>>(
+             p, std::vector<std::vector<Partial>>(p)));
+  sim::PerRank<std::vector<Real>> vsum(p);
+  for (int r = 0; r < p; ++r) vsum[r].assign(newTree.localOf(r).size(), 0.0);
+
+  // One round: route each selected new cell to its ranks, record the
+  // answering terms, and accumulate the replied partial volumes.
+  auto round = [&](int rd, auto&& routeCell) {
+    sim::SparseSends<std::uint32_t> sends(p);
+    sim::PerRank<std::vector<std::vector<std::size_t>>> pending(p);
+    for (int r = 0; r < p; ++r) {
+      pending[r].resize(p);
+      const auto& elems = newTree.localOf(r);
+      std::vector<std::vector<std::uint32_t>> buf(p);
+      for (std::size_t e = 0; e < elems.size(); ++e)
+        routeCell(r, e, [&](int q) {
+          pending[r][q].push_back(e);
+          for (int d = 0; d < DIM; ++d) buf[q].push_back(elems[e].x[d]);
+          buf[q].push_back(elems[e].level);
+        });
+      for (int dst = 0; dst < p; ++dst)
+        if (!buf[dst].empty())
+          sends[r].emplace_back(dst, std::move(buf[dst]));
+    }
+    auto qRecv = comm.sparseExchange(sends);
+    sim::SparseSends<Real> aSends(p);
+    for (int q = 0; q < p; ++q) {
+      const auto& elems = oldTree.localOf(q);
+      for (const auto& [src, buf] : qRecv[q]) {
+        const std::size_t nq = buf.size() / (DIM + 1);
+        std::vector<Real> vols(nq, 0.0);
+        auto& out = recs[rd][q][src];
+        for (std::size_t i = 0; i < nq; ++i) {
+          Partial part{pending[src][q][i], {}};
+          detail::forEachCellTerm(elems, detail::queryCell<DIM>(buf, i),
+                                  rd == 0, [&](std::size_t e, Real v) {
+                                    part.terms.emplace_back(e, v);
+                                    vols[i] += v;
+                                  });
+          out.push_back(std::move(part));
+        }
+        aSends[q].emplace_back(src, std::move(vols));
+      }
+    }
+    auto aRecv = comm.sparseExchange(aSends);
+    for (int r = 0; r < p; ++r)
+      for (const auto& [src, vols] : aRecv[r])
+        for (std::size_t i = 0; i < vols.size(); ++i)
+          vsum[r][pending[r][src][i]] += vols[i];
+  };
+  round(0, [&](int r, std::size_t e, auto&& to) {
+    const int owner =
+        tables.spl.ownerOfPoint(detail::cellCenter(newTree.localOf(r)[e]));
+    PT_CHECK(owner >= 0);
+    to(owner);
+  });
+  round(1, [&](int r, std::size_t e, auto&& to) {
+    const Octant<DIM>& nc = newTree.localOf(r)[e];
+    if (vsum[r][e] >= detail::cellVolume(nc) * (1.0 - 1e-9)) return;
+    const int centerOwner = tables.spl.ownerOfPoint(detail::cellCenter(nc));
+    for (int q : overlappedRanks(tables.oldEnds, nc, nc))
+      if (q != centerOwner) to(q);
+  });
+
+  CellPlan<DIM> plan;
+  plan.batches.resize(p);
+  plan.termStart.resize(p);
+  plan.termLeaf.resize(p);
+  plan.termVol.resize(p);
+  plan.partStart.resize(p);
+  plan.parts.resize(p);
+  plan.vol = std::move(vsum);
+  // Requester side, per round and new cell: the partials it sums, round 2's
+  // in ascending answering rank (the loop order below).
+  using PartRefs = std::vector<std::pair<int, std::uint32_t>>;
+  std::vector<sim::PerRank<std::vector<PartRefs>>> by(
+      2, sim::PerRank<std::vector<PartRefs>>(p));
+  for (int rd = 0; rd < 2; ++rd)
+    for (int r = 0; r < p; ++r) by[rd][r].resize(newTree.localOf(r).size());
+  for (int q = 0; q < p; ++q) {
+    std::size_t nParts = 0, nTerms = 0;
+    for (int rd = 0; rd < 2; ++rd)
+      for (int dst = 0; dst < p; ++dst)
+        for (const Partial& part : recs[rd][q][dst]) {
+          ++nParts;
+          nTerms += part.terms.size();
+        }
+    plan.termStart[q].reserve(nParts + 1);
+    plan.termLeaf[q].reserve(nTerms);
+    plan.termVol[q].reserve(nTerms);
+    plan.termStart[q].push_back(0);
+    for (int dst = 0; dst < p; ++dst) {
+      std::size_t n = 0;
+      for (int rd = 0; rd < 2; ++rd)
+        for (const Partial& part : recs[rd][q][dst]) {
+          by[rd][dst][part.cell].emplace_back(
+              q, static_cast<std::uint32_t>(plan.termStart[q].size() - 1));
+          for (const auto& [e, v] : part.terms) {
+            plan.termLeaf[q].push_back(e);
+            plan.termVol[q].push_back(v);
+          }
+          plan.termStart[q].push_back(plan.termLeaf[q].size());
+          ++n;
+        }
+      if (n) plan.batches[q].emplace_back(dst, n);
+    }
+  }
+  for (int r = 0; r < p; ++r) {
+    std::size_t nRefs = 0;
+    for (int rd = 0; rd < 2; ++rd)
+      for (const PartRefs& refs : by[rd][r]) nRefs += refs.size();
+    plan.partStart[r].reserve(plan.vol[r].size() + 1);
+    plan.parts[r].reserve(nRefs);
+    plan.partStart[r].push_back(0);
+    for (std::size_t e = 0; e < plan.vol[r].size(); ++e) {
+      PT_CHECK_MSG(plan.vol[r][e] > 0, "new cell not covered by old grid");
+      for (int rd = 0; rd < 2; ++rd)
+        plan.parts[r].insert(plan.parts[r].end(), by[rd][r][e].begin(),
+                             by[rd][r][e].end());
+      plan.partStart[r].push_back(plan.parts[r].size());
+    }
+  }
+  return plan;
+}
+
+/// Applies a cell plan to per-element old values — bitwise what
+/// transferCell returns.
+template <int DIM>
+sim::PerRank<std::vector<Real>> applyCellPlan(
+    sim::SimComm& comm, const CellPlan<DIM>& plan,
+    const sim::PerRank<std::vector<Real>>& oldVals) {
+  const int p = comm.size();
+  sim::PerRank<std::vector<Real>> partial(p), out(p);
+  for (int q = 0; q < p; ++q) {
+    const std::size_t np = plan.termStart[q].size() - 1;
+    partial[q].resize(np);
+    for (std::size_t i = 0; i < np; ++i) {
+      Real acc = 0.0;
+      for (std::size_t t = plan.termStart[q][i]; t < plan.termStart[q][i + 1];
+           ++t)
+        acc += oldVals[q][plan.termLeaf[q][t]] * plan.termVol[q][t];
+      partial[q][i] = acc;
+    }
+    comm.chargeWork(q, 2.0 * static_cast<double>(plan.termLeaf[q].size()));
+  }
+  comm.chargeSparseExchange(plan.batches, sizeof(Real));
+  for (int r = 0; r < p; ++r) {
+    const std::size_t nc = plan.vol[r].size();
+    out[r].resize(nc);
+    for (std::size_t e = 0; e < nc; ++e) {
+      Real wsum = 0.0;
+      for (std::size_t k = plan.partStart[r][e]; k < plan.partStart[r][e + 1];
+           ++k)
+        wsum += partial[plan.parts[r][k].first][plan.parts[r][k].second];
+      out[r][e] = wsum / plan.vol[r][e];
     }
   }
   return out;

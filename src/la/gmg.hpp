@@ -7,15 +7,21 @@
 //
 // The hierarchy is built with the library's own machinery: each coarser
 // level is Algorithm-7 coarsening of the previous tree (one level,
-// consensus-free since every leaf votes), re-balanced and re-partitioned;
-// inter-level transfer uses the multi-level inter-grid machinery
-// (prolongation = coarse-to-fine interpolation, restriction = injection
-// with the 2^DIM weak-residual scaling). The hierarchy (trees + meshes) is
-// split out as GmgHierarchy so a solver can build it once per mesh and
-// cache it across solves and no-op remeshes; the Gmg object itself holds
-// only the per-coefficient discretization (level operators, smoother
-// diagonals, eigenvalue bounds) and is cheap to rebuild when coefficients
-// change.
+// consensus-free since every leaf votes), re-balanced and re-partitioned.
+// Inter-level transfer is the inter-grid transfer (prolongation =
+// coarse-to-fine interpolation, restriction = injection with the 2^DIM
+// weak-residual scaling), resolved once per hierarchy into transfer plans
+// (intergrid::NodalPlan / CellPlan: source element, shape weights and
+// landing index per node), so a V-cycle transfer is a gather and a
+// weighted sum plus one values-only sparse exchange — no point location,
+// no allgather — bitwise equal to intergrid::transferNodal. The hierarchy
+// (trees + meshes + plans) is split out as GmgHierarchy so a solver can
+// build it once per mesh and cache it across solves and no-op remeshes;
+// the Gmg object itself holds only the per-coefficient discretization
+// (level operators, smoother diagonals, eigenvalue bounds) and is cheap to
+// rebuild when coefficients change. A V-cycle allocates no mesh-sized
+// storage: smoothers and transfers run in per-level workspaces allocated
+// with the Gmg (the simulated exchange keeps only O(ranks) bookkeeping).
 //
 // Smoothers: matrix-free Chebyshev(k) over the block-diagonally
 // preconditioned operator D^-1 A (eigenvalue upper bound per level via a
@@ -221,16 +227,22 @@ GmgLevelOps<DIM> makeCoefBlockLevelOps(
   return ops;
 }
 
-/// The coarsened-tree hierarchy: geometry only (trees + meshes), no
-/// coefficient data, so one build serves every solve on the same fine mesh.
-/// Level 0 is the finest; it can alias a caller-owned mesh (the solver's
-/// working mesh) so level-0 fields need no translation.
+/// The coarsened-tree hierarchy: geometry only (trees + meshes + the
+/// inter-level transfer plans), no coefficient data, so one build serves
+/// every solve on the same fine mesh. Level 0 is the finest; it can alias a
+/// caller-owned mesh (the solver's working mesh) so level-0 fields need no
+/// translation.
 template <int DIM>
 struct GmgHierarchy {
   const Mesh<DIM>* fine = nullptr;  ///< level 0 (non-owning view)
   std::unique_ptr<Mesh<DIM>> ownedFine;  ///< set when built from a bare tree
   std::vector<DistTree<DIM>> coarseTrees;  ///< levels 1..L-1
   std::vector<std::unique_ptr<Mesh<DIM>>> coarseMeshes;
+  /// Per hop l -> l+1: nodal plans level l -> l+1 (restriction) and
+  /// l+1 -> l (prolongation), and the cell plan level l -> l+1 (coefficient
+  /// restriction). Built with the hierarchy, never per apply.
+  std::vector<intergrid::NodalPlan<DIM>> restrictPlans, prolongPlans;
+  std::vector<intergrid::CellPlan<DIM>> cellPlans;
 
   int numLevels() const {
     return 1 + static_cast<int>(coarseMeshes.size());
@@ -274,9 +286,14 @@ struct GmgHierarchy {
       balanceDistTree(next);
       next.repartition();
       if (next.globalCount() == prev->globalCount()) break;
+      h->cellPlans.push_back(intergrid::buildCellPlan(*prev, next));
       h->coarseTrees.push_back(std::move(next));
       h->coarseMeshes.push_back(std::make_unique<Mesh<DIM>>(
           Mesh<DIM>::build(comm, h->coarseTrees.back())));
+      const Mesh<DIM>& fineL = h->meshAt(l - 1);
+      const Mesh<DIM>& coarseL = *h->coarseMeshes.back();
+      h->restrictPlans.push_back(intergrid::buildNodalPlan(fineL, coarseL));
+      h->prolongPlans.push_back(intergrid::buildNodalPlan(coarseL, fineL));
       prev = &h->coarseTrees.back();
     }
     return h;
@@ -316,8 +333,9 @@ class Gmg {
       dinv_.push_back(makeBlockJacobi(hier_->meshAt(l), ndof_,
                                       std::move(ops_[l].diag)));
     }
-    // Per-level smoother workspace (allocated once; a V-cycle then runs
-    // without allocations apart from the inter-grid transfers).
+    // Per-level smoother and transfer workspace (allocated once; a V-cycle
+    // then allocates no mesh-sized storage — the transfers apply the
+    // hierarchy's plans straight into wsB_/wsT_).
     for (int l = 0; l < L; ++l) {
       const Mesh<DIM>& m = hier_->meshAt(l);
       wsAx_.push_back(m.makeField(ndof_));
@@ -326,6 +344,19 @@ class Gmg {
       wsD_.push_back(m.makeField(ndof_));
       wsB_.push_back(m.makeField(ndof_));
       wsX_.push_back(m.makeField(ndof_));
+    }
+    levelHist_.resize(L - 1);  // the coarsest level only solves
+    if (metrics_) {
+      for (int l = 0; l + 1 < L; ++l) {
+        const std::string pre = "gmg.l" + std::to_string(l) + ".";
+        levelHist_[l] = {&metrics_->histogram(pre + "smooth_sec"),
+                         &metrics_->histogram(pre + "restrict_sec"),
+                         &metrics_->histogram(pre + "prolong_sec")};
+      }
+      coarseSec_ = &metrics_->histogram("gmg.coarse_sec");
+      coarseIters_ = &metrics_->histogram("gmg.coarse_iters");
+      coarseFail_ = &metrics_->counter("gmg.coarse_fail");
+      vcycles_ = &metrics_->counter("gmg.vcycles");
     }
   }
 
@@ -356,7 +387,7 @@ class Gmg {
     if (static_cast<int>(z.size()) != p) z.resize(p);
     for (int rk = 0; rk < p; ++rk)
       z[rk].assign(m0.rank(rk).nNodes() * ndof_, 0.0);
-    if (metrics_) metrics_->counter("gmg.vcycles").inc();
+    if (vcycles_) vcycles_->inc();
     vcycle(0, r, z);
   }
 
@@ -560,7 +591,7 @@ class Gmg {
       smoothChebyshev(l, b, x, sweeps, xZero);
     else
       smoothJacobi(l, b, x, sweeps, xZero);
-    obsAdd("gmg.l" + std::to_string(l) + ".smooth_sec", t0);
+    obsAdd(levelHist_[l].smooth, t0);
   }
 
   void coarseSolve(int l, const Field& b, Field& x) {
@@ -593,17 +624,15 @@ class Gmg {
             : cg(*coarseSpace_, ops_[l].op, *bp, x, opt_.coarseSolve,
                  &pc, &coarseWs_);
     if (ops_[l].project) ops_[l].project(x);
-    if (metrics_) {
-      metrics_->histogram("gmg.coarse_iters").add(res.iterations);
-      if (!res.converged) metrics_->counter("gmg.coarse_fail").inc();
-    }
+    if (coarseIters_) coarseIters_->add(res.iterations);
+    if (coarseFail_ && !res.converged) coarseFail_->inc();
     if (!res.converged)
       throw GmgCoarseSolveError(
           "GMG coarse solve failed to converge: " +
           std::to_string(res.iterations) + " iterations (cap " +
           std::to_string(opt_.coarseSolve.maxIterations) +
           "), relative residual " + std::to_string(res.relResidual));
-    obsAdd("gmg.coarse_sec", t0);
+    obsAdd(coarseSec_, t0);
   }
 
   void vcycle(int l, const Field& b, Field& x) {
@@ -624,12 +653,12 @@ class Gmg {
       PT_SPAN("gmg-restrict");
       const auto t0 = obsNow();
       Field& bc = wsB_[l + 1];
-      bc = intergrid::transferNodal(fine, r, coarse, ndof_);
+      intergrid::applyNodalPlan(hier_->restrictPlans[l], fine, r, ndof_, bc);
       const Real scale = static_cast<Real>(1 << DIM);
       for (std::size_t rk = 0; rk < bc.size(); ++rk)
         for (Real& v : bc[rk]) v *= scale;
       if (ops_[l + 1].project) ops_[l + 1].project(bc);
-      obsAdd("gmg.l" + std::to_string(l) + ".restrict_sec", t0);
+      obsAdd(levelHist_[l].restrict_, t0);
     }
     Field& xc = wsX_[l + 1];
     for (std::size_t rk = 0; rk < xc.size(); ++rk)
@@ -638,9 +667,11 @@ class Gmg {
     {
       PT_SPAN("gmg-prolong");
       const auto t0 = obsNow();
-      Field ef = intergrid::transferNodal(coarse, xc, fine, ndof_);
+      Field& ef = wsT_[l];
+      intergrid::applyNodalPlan(hier_->prolongPlans[l], coarse, xc, ndof_,
+                                ef);
       addScaled(x, 1.0, ef);
-      obsAdd("gmg.l" + std::to_string(l) + ".prolong_sec", t0);
+      obsAdd(levelHist_[l].prolong, t0);
     }
     smooth(l, b, x, opt_.postSmooth, /*xZero=*/false);
   }
@@ -651,12 +682,12 @@ class Gmg {
     return metrics_ ? std::chrono::steady_clock::now()
                     : std::chrono::steady_clock::time_point{};
   }
-  void obsAdd(const std::string& name,
-              std::chrono::steady_clock::time_point t0) const {
-    if (!metrics_) return;
-    metrics_->histogram(name).add(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
+  static void obsAdd(obs::Histogram* h,
+                     std::chrono::steady_clock::time_point t0) {
+    if (!h) return;
+    h->add(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+               .count());
   }
 
   sim::SimComm* comm_;
@@ -668,6 +699,18 @@ class Gmg {
   std::vector<LinOp<Field>> dinv_;   ///< factored block-Jacobi per level
   std::vector<Field> pointDiag_;     ///< kJacobi only
   std::vector<Real> eig_;            ///< per-level lambda_max(D^-1 A)
+  /// Metric handles, resolved once in the constructor (null without a
+  /// registry); the registry's std::map keeps the references stable.
+  struct LevelHist {
+    obs::Histogram* smooth = nullptr;
+    obs::Histogram* restrict_ = nullptr;
+    obs::Histogram* prolong = nullptr;
+  };
+  std::vector<LevelHist> levelHist_;
+  obs::Histogram* coarseSec_ = nullptr;
+  obs::Histogram* coarseIters_ = nullptr;
+  obs::Counter* coarseFail_ = nullptr;
+  obs::Counter* vcycles_ = nullptr;
   std::vector<Field> wsAx_, wsR_, wsT_, wsD_, wsB_, wsX_;
   std::unique_ptr<FieldSpace<DIM>> coarseSpace_;
   KspWorkspace<Field> coarseWs_;

@@ -126,19 +126,28 @@ class Tracer {
   /// at fixed thread partitioning the merged sequence of (tid, name, depth)
   /// tuples is deterministic even though timestamps vary run to run.
   std::vector<TraceEvent> drain() {
+    std::uint64_t droppedNow = 0;
+    return drain(droppedNow);
+  }
+
+  /// drain(), also reporting how many events the drained rings had
+  /// overwritten (the events missing from the returned sequence).
+  std::vector<TraceEvent> drain(std::uint64_t& droppedNow) {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<TraceEvent> out;
+    droppedNow = 0;
     for (auto& tbp : bufs_) {
       std::lock_guard<std::mutex> tlock(tbp->mu);
       const std::uint64_t kept =
           std::min<std::uint64_t>(tbp->total, kRingCapacity);
-      dropped_ += tbp->total - kept;
+      droppedNow += tbp->total - kept;
       // Ring order: oldest kept event first.
       for (std::uint64_t i = 0; i < kept; ++i)
         out.push_back(tbp->ring[(tbp->total - kept + i) % kRingCapacity]);
       tbp->total = 0;
       tbp->ring.clear();
     }
+    dropped_ += droppedNow;
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceEvent& a, const TraceEvent& b) {
                        if (a.tid != b.tid) return a.tid < b.tid;
@@ -155,13 +164,20 @@ class Tracer {
   }
 
   /// Drains and writes Chrome trace-event JSON (the {"traceEvents": [...]}
-  /// wrapper, "X" complete events, timestamps in microseconds). Returns
-  /// false if the file cannot be opened. Safe with zero events.
+  /// wrapper, "X" complete events, timestamps in microseconds). The events
+  /// the drained rings overwrote are reported as
+  /// "otherData": {"droppedEvents": N}, so a truncated trace never passes
+  /// for a complete one. Returns false if the file cannot be opened. Safe
+  /// with zero events.
   bool writeChromeTrace(const std::string& path) {
-    std::vector<TraceEvent> evs = drain();
+    std::uint64_t droppedNow = 0;
+    std::vector<TraceEvent> evs = drain(droppedNow);
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) return false;
-    std::fprintf(f, "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
+    std::fprintf(f,
+                 "{\"displayTimeUnit\": \"ms\", \"otherData\": "
+                 "{\"droppedEvents\": %llu}, \"traceEvents\": [\n",
+                 static_cast<unsigned long long>(droppedNow));
     // Thread-name metadata so Perfetto labels the worker lanes.
     std::set<int> tids;
     for (const TraceEvent& e : evs) tids.insert(e.tid);

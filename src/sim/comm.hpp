@@ -37,6 +37,7 @@ struct CommStats {
   long messages = 0;       ///< point-to-point messages
   double bytes = 0;        ///< total payload bytes moved
   long collectives = 0;    ///< collective invocations
+  long allgathers = 0;     ///< of which allgathers (routing-table gathers)
   long commSplits = 0;     ///< actual (non-memoized) communicator splits
   long commSplitHits = 0;  ///< memoized splits served from the cache
   long splitExchanges = 0;   ///< exchanges issued through start/finish
@@ -208,6 +209,7 @@ class SimComm {
     const double t =
         time() + machine_.alpha * ceilLog2(p_) + machine_.beta * bytes;
     setAll(t);
+    ++stats_.allgathers;
     collectiveEvent();
     stats_.bytes += bytes * p_;
     return vals;
@@ -244,54 +246,22 @@ class SimComm {
     PT_CHECK(static_cast<int>(sends.size()) == p_);
     ExchangeHandle<T> h;
     h.recv_.resize(p_);
-    PerRank<double> sendBytes(p_, 0), recvBytes(p_, 0);
-    PerRank<long> nDest(p_, 0), nSrc(p_, 0);
-    for (int src = 0; src < p_; ++src) {
-      nDest[src] = static_cast<long>(sends[src].size());
+    for (int src = 0; src < p_; ++src)
       for (const auto& [dst, payload] : sends[src]) {
         PT_CHECK(dst >= 0 && dst < p_);
-        const double b = sizeof(T) * static_cast<double>(payload.size());
-        sendBytes[src] += b;
-        recvBytes[dst] += b;
-        ++nSrc[dst];
         h.recv_[dst].emplace_back(src, payload);
-        ++stats_.messages;
-        stats_.bytes += b;
       }
-    }
     for (auto& lst : h.recv_)
       std::sort(lst.begin(), lst.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
-    // Cost model. Charged per rank from its sparse endpoint lists — the
-    // alpha term counts that rank's actual send and receive partners
-    // (never a dense p-wide setup; only kDenseAlltoall pays Omega(p)).
-    const double t0 = time();
-    double tmax = t0;
-    for (int r = 0; r < p_; ++r) {
-      double t = t0;
-      if (algo == ExchangeAlgo::kDenseAlltoall) {
-        // Populate an O(p) count array, then a dense collective that
-        // touches every rank's message slot (Omega(p) latency) and suffers
-        // congestion on the payload.
-        t += machine_.perRankSetup * p_;
-        t += machine_.alpha * (p_ / 8.0) * machine_.alltoallSaturation(p_) +
-             machine_.beta * sizeof(int) * p_ * machine_.alltoallCongestion;
-        t += machine_.alpha * (nDest[r] + nSrc[r]) +
-             machine_.beta * (sendBytes[r] + recvBytes[r]) *
-                 machine_.alltoallCongestion;
-      } else {
-        // NBX: nonblocking sends to nDest partners, matching probes for the
-        // nSrc inbound messages, plus the 2 log p Ibarrier consensus; no
-        // Omega(p) primitive anywhere.
-        t += machine_.alpha * (nDest[r] + nSrc[r] + 2.0 * ceilLog2(p_)) +
-             machine_.beta * (sendBytes[r] + recvBytes[r]);
-      }
-      tmax = std::max(tmax, t);
-    }
-    h.startTime_ = t0;
-    h.readyTime_ = tmax;
+    postCost(
+        [&](auto&& edge) {
+          for (int src = 0; src < p_; ++src)
+            for (const auto& [dst, payload] : sends[src])
+              edge(src, dst, sizeof(T) * static_cast<double>(payload.size()));
+        },
+        algo, h.startTime_, h.readyTime_);
     h.open_ = true;
-    ++stats_.splitExchanges;
     return h;
   }
 
@@ -303,12 +273,31 @@ class SimComm {
   SparseSends<T> exchangeFinish(ExchangeHandle<T>& h) {
     PT_CHECK_MSG(h.open_, "exchangeFinish on a non-open handle");
     h.open_ = false;
-    const double tNow = time();
-    stats_.overlapHidden +=
-        std::max(0.0, std::min(tNow, h.readyTime_) - h.startTime_);
-    setAll(std::max(tNow, h.readyTime_));  // completes collectively
-    collectiveEvent();
+    finishCost(h.startTime_, h.readyTime_);
     return std::move(h.recv_);
+  }
+
+  /// Blocking sparse exchange whose payloads the caller delivers itself
+  /// (a precomputed transfer plan writes straight into the receivers'
+  /// fields, so nothing is packed or copied here). counts[src] lists
+  /// (destination, item count) pairs of `itemBytes` each; the charged cost,
+  /// statistics and collective event are exactly those of sparseExchange
+  /// over payloads of those sizes.
+  void chargeSparseExchange(
+      const PerRank<std::vector<std::pair<int, std::size_t>>>& counts,
+      double itemBytes, ExchangeAlgo algo = ExchangeAlgo::kNbx) {
+    PT_CHECK(static_cast<int>(counts.size()) == p_);
+    double start = 0, ready = 0;
+    postCost(
+        [&](auto&& edge) {
+          for (int src = 0; src < p_; ++src)
+            for (const auto& [dst, n] : counts[src]) {
+              PT_CHECK(dst >= 0 && dst < p_);
+              edge(src, dst, itemBytes * static_cast<double>(n));
+            }
+        },
+        algo, start, ready);
+    finishCost(start, ready);
   }
 
   /// Charges the cost of a personalized all-to-all with the given per-rank
@@ -442,6 +431,64 @@ class SimComm {
 
  private:
   void setAll(double t) { std::fill(clock_.begin(), clock_.end(), t); }
+
+  /// Posting half of every sparse exchange: message statistics and the
+  /// per-rank cost model. `forEachEdge(edge)` calls edge(src, dst, bytes)
+  /// once per message. Records when the exchange was posted and when the
+  /// slowest rank completes it; no clock advances.
+  template <typename ForEachEdge>
+  void postCost(ForEachEdge&& forEachEdge, ExchangeAlgo algo,
+                double& startTime, double& readyTime) {
+    PerRank<double> sendBytes(p_, 0), recvBytes(p_, 0);
+    PerRank<long> nDest(p_, 0), nSrc(p_, 0);
+    forEachEdge([&](int src, int dst, double b) {
+      ++nDest[src];
+      sendBytes[src] += b;
+      recvBytes[dst] += b;
+      ++nSrc[dst];
+      ++stats_.messages;
+      stats_.bytes += b;
+    });
+    // Cost model. Charged per rank from its sparse endpoint lists — the
+    // alpha term counts that rank's actual send and receive partners
+    // (never a dense p-wide setup; only kDenseAlltoall pays Omega(p)).
+    const double t0 = time();
+    double tmax = t0;
+    for (int r = 0; r < p_; ++r) {
+      double t = t0;
+      if (algo == ExchangeAlgo::kDenseAlltoall) {
+        // Populate an O(p) count array, then a dense collective that
+        // touches every rank's message slot (Omega(p) latency) and suffers
+        // congestion on the payload.
+        t += machine_.perRankSetup * p_;
+        t += machine_.alpha * (p_ / 8.0) * machine_.alltoallSaturation(p_) +
+             machine_.beta * sizeof(int) * p_ * machine_.alltoallCongestion;
+        t += machine_.alpha * (nDest[r] + nSrc[r]) +
+             machine_.beta * (sendBytes[r] + recvBytes[r]) *
+                 machine_.alltoallCongestion;
+      } else {
+        // NBX: nonblocking sends to nDest partners, matching probes for the
+        // nSrc inbound messages, plus the 2 log p Ibarrier consensus; no
+        // Omega(p) primitive anywhere.
+        t += machine_.alpha * (nDest[r] + nSrc[r] + 2.0 * ceilLog2(p_)) +
+             machine_.beta * (sendBytes[r] + recvBytes[r]);
+      }
+      tmax = std::max(tmax, t);
+    }
+    startTime = t0;
+    readyTime = tmax;
+    ++stats_.splitExchanges;
+  }
+
+  /// Completing half: every rank waits for the exchange AND for the
+  /// slowest compute charged since the post, then the collective event.
+  void finishCost(double startTime, double readyTime) {
+    const double tNow = time();
+    stats_.overlapHidden +=
+        std::max(0.0, std::min(tNow, readyTime) - startTime);
+    setAll(std::max(tNow, readyTime));  // completes collectively
+    collectiveEvent();
+  }
 
   /// Every collective funnels through here: accounting plus the armed
   /// fault countdown.

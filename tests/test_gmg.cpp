@@ -429,6 +429,52 @@ TEST(Gmg, VcycleBitwiseDeterministicAcrossThreads) {
     EXPECT_EQ(z1[rk], z4[rk]) << "V-cycle not bitwise thread-invariant";
 }
 
+TEST(Gmg, TransferPlansBuiltWithHierarchyAndReusedAcrossGmgRebuilds) {
+  sim::SimComm comm(3, sim::Machine::loopback());
+  OctList<2> tree;
+  buildTree<2>(
+      Octant<2>::root(),
+      [](const Octant<2>& o) {
+        auto c = o.centerCoords();
+        return std::hypot(c[0] - 0.3, c[1] - 0.5) < 0.25 ? Level(6)
+                                                         : Level(3);
+      },
+      tree);
+  auto dist = DistTree<2>::fromGlobal(comm, balanceTree(tree));
+  const long g0 = comm.stats().allgathers;
+  auto hier = la::GmgHierarchy<2>::build(comm, dist, nullptr, 3, 1);
+  const int hops = hier->numLevels() - 1;
+  ASSERT_EQ(hops, 2);
+  ASSERT_EQ(static_cast<int>(hier->restrictPlans.size()), hops);
+  ASSERT_EQ(static_cast<int>(hier->prolongPlans.size()), hops);
+  ASSERT_EQ(static_cast<int>(hier->cellPlans.size()), hops);
+  // Each hop's plans gather their routing tables once, at build time.
+  EXPECT_GE(comm.stats().allgathers - g0, 3 * hops);
+  Field r = hier->meshAt(0).makeField();
+  fem::setByPosition<2>(hier->meshAt(0), r, 1,
+                        [](const VecN<2>& p, Real* v) {
+                          v[0] = std::sin(7 * p[0]) + std::cos(5 * p[1]);
+                        });
+  const auto* plans = hier->prolongPlans.data();
+  Field zPrev;
+  for (int k = 0; k < 3; ++k) {
+    // A per-solve rebuild (new discretization on the cached hierarchy) and
+    // its V-cycles locate no points: no routing-table gather anywhere.
+    const long a0 = comm.stats().allgathers;
+    la::Gmg<2> gmg(comm, hier, unitCoefBlockFactory<2>(), {.levels = 3});
+    Field z;
+    gmg.apply(r, z);
+    gmg.apply(r, z);
+    EXPECT_EQ(comm.stats().allgathers - a0, 0)
+        << "Gmg rebuild or V-cycle rebuilt transfer plans";
+    EXPECT_EQ(gmg.hierarchy()->prolongPlans.data(), plans);
+    if (k > 0) {
+      EXPECT_EQ(z, zPrev) << "rebuild " << k;
+    }
+    zPrev = z;
+  }
+}
+
 TEST(Gmg, CoarseSolveFailureThrowsTypedError) {
   sim::SimComm comm(1, sim::Machine::loopback());
   auto tree = DistTree<2>::fromGlobal(comm, uniformTree<2>(5));

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "amr/remesh.hpp"
 #include "apps/fields.hpp"
 #include "intergrid/overlap.hpp"
 #include "intergrid/transfer.hpp"
+#include "la/gmg.hpp"
 #include "mesh/mesh.hpp"
 #include "octree/balance.hpp"
 #include "support/rng.hpp"
@@ -297,6 +299,185 @@ TEST(CellTransfer, AverageConservesIntegral) {
           cvals[r][e] * elems[e].physSize() * elems[e].physSize();
   }
   EXPECT_NEAR(coarseIntegral, fineIntegral, 1e-12);
+}
+
+// ---- Transfer plans ------------------------------------------------------------
+
+/// Ghost-consistent, rapidly varying nodal data with full-width mantissas
+/// (so a reordered interpolation sum rounds differently).
+template <int DIM>
+Field hashField(const Mesh<DIM>& m, int ndof) {
+  Field f = m.makeField(ndof);
+  fem::setByPosition<DIM>(m, f, ndof, [ndof](const VecN<DIM>& x, Real* v) {
+    Real s = 0;
+    for (int d = 0; d < DIM; ++d) s += (129.898 + 71.3 * d) * x[d];
+    for (int c = 0; c < ndof; ++c) v[c] = std::sin(s + 0.37 * c);
+  });
+  return f;
+}
+
+template <int DIM>
+sim::PerRank<std::vector<Real>> randomCells(const DistTree<DIM>& t,
+                                            Rng& rng) {
+  sim::PerRank<std::vector<Real>> v(t.comm().size());
+  for (int r = 0; r < t.comm().size(); ++r) {
+    v[r].resize(t.localOf(r).size());
+    for (Real& x : v[r]) x = rng.uniform(-1, 1);
+  }
+  return v;
+}
+
+/// applyNodalPlan(buildNodalPlan(from, to)) == transferNodal(from, ., to)
+/// bitwise, every output entry written.
+template <int DIM>
+void expectNodalPlanBitwise(const Mesh<DIM>& from, const Mesh<DIM>& to,
+                            int ndof) {
+  const Field u = hashField(from, ndof);
+  const Field want = intergrid::transferNodal(from, u, to, ndof);
+  const auto plan = intergrid::buildNodalPlan(from, to);
+  Field got = to.makeField(ndof);
+  for (auto& v : got)
+    std::fill(v.begin(), v.end(), std::numeric_limits<Real>::quiet_NaN());
+  intergrid::applyNodalPlan(plan, from, u, ndof, got);
+  for (int r = 0; r < to.nRanks(); ++r)
+    EXPECT_EQ(got[r], want[r]) << "rank " << r << " ndof " << ndof;
+}
+
+template <int DIM>
+void expectCellPlanBitwise(const DistTree<DIM>& from,
+                           const DistTree<DIM>& to, Rng& rng) {
+  const auto vals = randomCells(from, rng);
+  const auto want = intergrid::transferCell(from, vals, to);
+  const auto plan = intergrid::buildCellPlan(from, to);
+  const auto got = intergrid::applyCellPlan(from.comm(), plan, vals);
+  for (int r = 0; r < from.comm().size(); ++r)
+    EXPECT_EQ(got[r], want[r]) << "rank " << r;
+}
+
+template <int DIM>
+void planSweep(Level maxLevel) {
+  for (int p : {1, 3, 4}) {
+    SCOPED_TRACE("DIM " + std::to_string(DIM) + " ranks " +
+                 std::to_string(p));
+    sim::SimComm comm(p, sim::Machine::loopback());
+    Rng rng(700 + 10 * DIM + p);
+    auto ta = DistTree<DIM>::fromGlobal(
+        comm, randomBalancedTree<DIM>(rng, maxLevel, 0.5));
+    auto tb = DistTree<DIM>::fromGlobal(
+        comm, randomBalancedTree<DIM>(rng, maxLevel, 0.5));
+    auto ma = Mesh<DIM>::build(comm, ta);
+    auto mb = Mesh<DIM>::build(comm, tb);
+    for (int ndof : {1, 2, 3, 4}) {  // every compile-time dof path
+      expectNodalPlanBitwise(ma, mb, ndof);
+      expectNodalPlanBitwise(mb, ma, ndof);
+    }
+    expectCellPlanBitwise(ta, tb, rng);
+    expectCellPlanBitwise(tb, ta, rng);
+  }
+}
+
+TEST(TransferPlan, BitwiseEqualsPerCallTransfer2D) { planSweep<2>(6); }
+TEST(TransferPlan, BitwiseEqualsPerCallTransfer3D) { planSweep<3>(4); }
+
+template <int DIM>
+void gmgHopSweep(Level coarse, Level fine) {
+  for (int p : {1, 3, 4}) {
+    SCOPED_TRACE("DIM " + std::to_string(DIM) + " ranks " +
+                 std::to_string(p));
+    sim::SimComm comm(p, sim::Machine::loopback());
+    Rng rng(900 + 10 * DIM + p);
+    OctList<DIM> leaves;
+    buildTree<DIM>(
+        Octant<DIM>::root(),
+        [&](const Octant<DIM>& o) {
+          const auto c = o.centerCoords();
+          Real r2 = 0;
+          for (int d = 0; d < DIM; ++d) r2 += (c[d] - 0.4) * (c[d] - 0.4);
+          return r2 < 0.09 ? fine : coarse;
+        },
+        leaves);
+    auto tree = DistTree<DIM>::fromGlobal(comm, balanceTree(leaves));
+    auto hier = la::GmgHierarchy<DIM>::build(comm, tree, nullptr, 4, 1);
+    ASSERT_GE(hier->numLevels(), 3);
+    for (int l = 0; l + 1 < hier->numLevels(); ++l) {
+      const Mesh<DIM>& mf = hier->meshAt(l);
+      const Mesh<DIM>& mc = hier->meshAt(l + 1);
+      const DistTree<DIM>& tf = l == 0 ? tree : hier->coarseTrees[l - 1];
+      for (int ndof : {1, 2}) {
+        const Field r = hashField(mf, ndof);
+        const Field x = hashField(mc, ndof);
+        Field rc = mc.makeField(ndof), xf = mf.makeField(ndof);
+        intergrid::applyNodalPlan(hier->restrictPlans[l], mf, r, ndof, rc);
+        intergrid::applyNodalPlan(hier->prolongPlans[l], mc, x, ndof, xf);
+        const Field wantRc = intergrid::transferNodal(mf, r, mc, ndof);
+        const Field wantXf = intergrid::transferNodal(mc, x, mf, ndof);
+        for (int rk = 0; rk < p; ++rk) {
+          EXPECT_EQ(rc[rk], wantRc[rk]) << "restrict hop " << l;
+          EXPECT_EQ(xf[rk], wantXf[rk]) << "prolong hop " << l;
+        }
+      }
+      const auto vals = randomCells(tf, rng);
+      const auto got =
+          intergrid::applyCellPlan(comm, hier->cellPlans[l], vals);
+      const auto want =
+          intergrid::transferCell(tf, vals, hier->coarseTrees[l]);
+      for (int rk = 0; rk < p; ++rk)
+        EXPECT_EQ(got[rk], want[rk]) << "cell hop " << l;
+    }
+  }
+}
+
+TEST(TransferPlan, GmgHopsBitwiseEqualPerCallTransfer2D) {
+  gmgHopSweep<2>(3, 6);
+}
+TEST(TransferPlan, GmgHopsBitwiseEqualPerCallTransfer3D) {
+  gmgHopSweep<3>(2, 4);
+}
+
+TEST(TransferPlan, ApplyChargesOneValuesExchangeAndNoAllgather) {
+  constexpr int p = 4;
+  sim::SimComm comm(p, sim::Machine::loopback());
+  Rng rng(77);
+  auto ta = DistTree<2>::fromGlobal(comm, randomBalancedTree<2>(rng, 6, 0.5));
+  auto tb = DistTree<2>::fromGlobal(comm, randomBalancedTree<2>(rng, 6, 0.5));
+  auto ma = Mesh<2>::build(comm, ta);
+  auto mb = Mesh<2>::build(comm, tb);
+  constexpr int ndof = 2;
+  const Field u = hashField(ma, ndof);
+  const auto plan = intergrid::buildNodalPlan(ma, mb);
+  long batches = 0;
+  for (const auto& b : plan.batches) batches += static_cast<long>(b.size());
+  std::size_t newNodes = 0;
+  for (int r = 0; r < p; ++r) newNodes += mb.rank(r).nNodes();
+
+  // transferNodal: splitter allgather + query exchange + answer exchange.
+  sim::CommStats s0 = comm.stats();
+  intergrid::transferNodal(ma, u, mb, ndof);
+  sim::CommStats s1 = comm.stats();
+  EXPECT_EQ(s1.allgathers - s0.allgathers, 1);
+  EXPECT_EQ(s1.splitExchanges - s0.splitExchanges, 2);
+
+  // Plan apply: only the answer values move, in one exchange with exactly
+  // transferNodal's answer messages and payload.
+  Field out = mb.makeField(ndof);
+  s0 = comm.stats();
+  intergrid::applyNodalPlan(plan, ma, u, ndof, out);
+  s1 = comm.stats();
+  EXPECT_EQ(s1.allgathers - s0.allgathers, 0);
+  EXPECT_EQ(s1.splitExchanges - s0.splitExchanges, 1);
+  EXPECT_EQ(s1.collectives - s0.collectives, 1);
+  EXPECT_EQ(s1.messages - s0.messages, batches);
+  EXPECT_DOUBLE_EQ(s1.bytes - s0.bytes,
+                   static_cast<double>(newNodes * ndof * sizeof(Real)));
+
+  const auto cplan = intergrid::buildCellPlan(ta, tb);
+  const auto vals = randomCells(ta, rng);
+  s0 = comm.stats();
+  intergrid::applyCellPlan(comm, cplan, vals);
+  s1 = comm.stats();
+  EXPECT_EQ(s1.allgathers - s0.allgathers, 0);
+  EXPECT_EQ(s1.splitExchanges - s0.splitExchanges, 1);
+  EXPECT_EQ(s1.collectives - s0.collectives, 1);
 }
 
 // ---- Remesh driver -----------------------------------------------------------

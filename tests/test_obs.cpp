@@ -320,6 +320,36 @@ TEST(ObsTrace, ChromeTraceFileIsWellFormed) {
   pool.setThreads(1);
 }
 
+TEST(ObsTrace, ChromeTraceReportsDroppedEvents) {
+  TracerCleanup cleanup;
+  auto& tr = obs::Tracer::instance();
+  tr.drain();
+  // A complete trace says so explicitly.
+  tr.enable();
+  { obs::SpanScope s("kept"); }
+  tr.disable();
+  const std::string path = "test_obs_dropped.json";
+  ASSERT_TRUE(tr.writeChromeTrace(path));
+  EXPECT_NE(slurp(path).find("\"otherData\": {\"droppedEvents\": 0}"),
+            std::string::npos);
+  // Overflow this thread's ring by a known amount: the oldest kOver events
+  // are overwritten and the written file must count exactly those.
+  constexpr long kOver = 1234;
+  const long n = static_cast<long>(obs::Tracer::kRingCapacity) + kOver;
+  tr.enable();
+  for (long i = 0; i < n; ++i) obs::SpanScope s("flood");
+  tr.disable();
+  ASSERT_TRUE(tr.writeChromeTrace(path));
+  const std::string body = slurp(path);
+  JsonChecker jc(body);
+  EXPECT_TRUE(jc.valid()) << body.substr(0, 400);
+  EXPECT_NE(body.find("\"otherData\": {\"droppedEvents\": " +
+                      std::to_string(kOver) + "}"),
+            std::string::npos)
+      << body.substr(0, 200);
+  std::remove(path.c_str());
+}
+
 TEST(ObsTrace, DisabledSpanOverheadBound) {
   // Force-disable: under the release-trace ctest preset PT_TRACE is set and
   // a prior test may have run the env hookup.

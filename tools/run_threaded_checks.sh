@@ -17,10 +17,11 @@
 # 4. The remesh fast-path suite once more under tsan with PT_VALIDATE=1,
 #    so the no-op early exits and incremental rebuilds are invariant-checked
 #    while racing the pool.
-# 5. The gmg stage (DESIGN.md §13): the V-cycle preconditioner suite
-#    serial, with the pool at 4 threads, under tsan at 4 threads, and with
-#    PT_VALIDATE=1 (every hierarchy build runs the mesh validator on each
-#    coarse level).
+# 5. The gmg stage (DESIGN.md §13): the V-cycle preconditioner suite and
+#    the inter-grid transfer suite (whose plan tests pin the V-cycle's
+#    cached transfers bitwise to the per-call ones) serial, with the pool
+#    at 4 threads, under tsan at 4 threads, and with PT_VALIDATE=1 (every
+#    hierarchy build runs the mesh validator on each coarse level).
 # 6. The obs stage (DESIGN.md §12): the telemetry suite serial, with the
 #    pool at 4 threads, under tsan at 4 threads (span recording, counter
 #    atomicity, and per-thread ring merges race the pool there), and once
@@ -73,16 +74,18 @@ ctest --preset tsan \
 echo "== tsan + PT_VALIDATE=1 remesh fast-path suite =="
 PT_VALIDATE=1 ctest --preset tsan -R 'test_remesh_fastpath$' "$@"
 
-echo "== gmg: V-cycle suite (serial, threads=4, tsan, PT_VALIDATE=1) =="
+echo "== gmg: V-cycle + transfer suites (serial, threads=4, tsan, PT_VALIDATE=1) =="
 # The GMG preconditioner suite (DESIGN.md §13): hierarchy construction,
-# V-cycle contraction, thread-count bitwise identity, and the chns-level
-# hierarchy cache tests — serial, with the pool at 4 threads, under tsan
-# at 4 threads, and invariant-checked.
-ctest --preset release -R 'test_gmg$' "$@"
-ctest --preset release-threads -R 'test_gmg$' "$@"
-cmake --build --preset tsan --target test_gmg -- -j"$(nproc)"
-ctest --preset tsan -R 'test_gmg$' "$@"
-PT_VALIDATE=1 ctest --preset release -R 'test_gmg$' "$@"
+# transfer-plan caching, V-cycle contraction, thread-count bitwise
+# identity, and the chns-level hierarchy cache tests; with it the
+# inter-grid suite (plan applies bitwise equal to transferNodal /
+# transferCell, one exchange per apply) — serial, with the pool at 4
+# threads, under tsan at 4 threads, and invariant-checked.
+ctest --preset release -R 'test_(gmg|intergrid)$' "$@"
+ctest --preset release-threads -R 'test_(gmg|intergrid)$' "$@"
+cmake --build --preset tsan --target test_gmg test_intergrid -- -j"$(nproc)"
+ctest --preset tsan -R 'test_(gmg|intergrid)$' "$@"
+PT_VALIDATE=1 ctest --preset release -R 'test_(gmg|intergrid)$' "$@"
 
 echo "== obs: telemetry suite (serial, threads=4, tsan) =="
 ctest --preset release -R 'test_obs$' "$@"

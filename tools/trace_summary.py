@@ -17,7 +17,11 @@ Validation is strict: any parse error, schema violation, missing required
 key, or out-of-range value exits nonzero, which is how the bench run_*.sh
 wrappers fail a run that produced malformed telemetry.
 
-Usage: trace_summary.py FILE [FILE ...]
+A Chrome trace whose per-thread rings overflowed carries
+"otherData": {"droppedEvents": N > 0}: the summary prints N and warns that
+the trace is truncated; with --no-drops a truncated trace exits nonzero.
+
+Usage: trace_summary.py [--no-drops] FILE [FILE ...]
 """
 
 import json
@@ -25,6 +29,10 @@ import sys
 
 
 class Malformed(Exception):
+    pass
+
+
+class Truncated(Exception):
     pass
 
 
@@ -40,10 +48,17 @@ def _is_num(v):
 # ---- Chrome trace ----------------------------------------------------------
 
 def check_chrome_trace(doc):
+    """Validates and summarizes; returns the dropped-event count."""
     _require(isinstance(doc, dict), "trace: top level must be an object")
     _require("traceEvents" in doc, "trace: missing 'traceEvents'")
     events = doc["traceEvents"]
     _require(isinstance(events, list), "trace: 'traceEvents' must be a list")
+    other = doc.get("otherData", {})
+    _require(isinstance(other, dict), "trace: 'otherData' must be an object")
+    dropped = other.get("droppedEvents", 0)
+    _require(isinstance(dropped, int) and not isinstance(dropped, bool)
+             and dropped >= 0,
+             "trace: otherData.droppedEvents must be a non-negative integer")
     spans = {}  # name -> [count, total_us, set(tids)]
     jobs = {}   # job id -> {name -> [count, total_us]}  (args.job tagging)
     tid_names = {}
@@ -82,7 +97,8 @@ def check_chrome_trace(doc):
             raise Malformed(f"trace: event {i} has unsupported ph {ph!r}")
     print(f"Chrome trace: {len(events)} events, "
           f"{len(tid_names)} named threads, {len(spans)} distinct spans"
-          + (f", {len(jobs)} tagged jobs" if jobs else ""))
+          + (f", {len(jobs)} tagged jobs" if jobs else "")
+          + f", {dropped} dropped events")
     if spans:
         print(f"  {'span':<24} {'count':>8} {'total ms':>12} {'threads':>8}")
         for name in sorted(spans, key=lambda n: -spans[n][1]):
@@ -95,7 +111,7 @@ def check_chrome_trace(doc):
         for name in sorted(per, key=lambda n: -per[n][1]):
             count, us = per[name]
             print(f"    {name:<24} {count:>8} {us / 1e3:>12.3f}")
-    return True
+    return dropped
 
 
 # ---- pt-step-v1 JSONL ------------------------------------------------------
@@ -211,7 +227,7 @@ def check_bench(doc, path):
 
 # ---- Driver ----------------------------------------------------------------
 
-def check_file(path):
+def check_file(path, no_drops=False):
     with open(path, "r", encoding="utf-8") as f:
         body = f.read()
     _require(body.strip(), f"{path}: empty file")
@@ -224,7 +240,15 @@ def check_file(path):
         doc = None
     if doc is not None and isinstance(doc, dict):
         if "traceEvents" in doc:
-            return check_chrome_trace(doc)
+            dropped = check_chrome_trace(doc)
+            if dropped:
+                msg = (f"{dropped} events were overwritten in the "
+                       "per-thread rings")
+                if no_drops:
+                    raise Truncated(msg)
+                print(f"{path}: WARNING: trace is truncated: {msg}",
+                      file=sys.stderr)
+            return True
         if doc.get("schema") == "pt-bench-v1":
             return check_bench(doc, path)
         if doc.get("schema") == "pt-step-v1":
@@ -237,16 +261,21 @@ def check_file(path):
 
 
 def main(argv):
-    if len(argv) < 2:
+    no_drops = "--no-drops" in argv[1:]
+    paths = [a for a in argv[1:] if a != "--no-drops"]
+    if not paths:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     status = 0
-    for path in argv[1:]:
+    for path in paths:
         try:
-            check_file(path)
+            check_file(path, no_drops)
             print(f"{path}: OK")
         except Malformed as e:
             print(f"{path}: MALFORMED: {e}", file=sys.stderr)
+            status = 1
+        except Truncated as e:
+            print(f"{path}: TRUNCATED: {e}", file=sys.stderr)
             status = 1
         except OSError as e:
             print(f"{path}: {e}", file=sys.stderr)
