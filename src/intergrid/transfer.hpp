@@ -59,22 +59,12 @@ void shapeWeights(const Octant<DIM>& oct,
 }
 
 /// out = sum_i w[i] * vals[i] per dof, summed in corner order from 0.0:
-/// the one interpolation sum every nodal transfer path evaluates. NDOF > 0
-/// fixes the dof count at compile time (register accumulators, the same
-/// arithmetic).
-template <int DIM, int NDOF = 0>
+/// the one interpolation sum every nodal transfer path evaluates.
+template <int DIM>
 void weightedSum(const Real* w, const Real* vals, int ndof, Real* out) {
-  constexpr int kC = kNumChildren<DIM>;
-  if constexpr (NDOF > 0) {
-    Real acc[NDOF] = {};
-    for (int i = 0; i < kC; ++i)
-      for (int d = 0; d < NDOF; ++d) acc[d] += w[i] * vals[i * NDOF + d];
-    for (int d = 0; d < NDOF; ++d) out[d] = acc[d];
-  } else {
-    for (int d = 0; d < ndof; ++d) out[d] = 0.0;
-    for (int i = 0; i < kC; ++i)
-      for (int d = 0; d < ndof; ++d) out[d] += w[i] * vals[i * ndof + d];
-  }
+  for (int d = 0; d < ndof; ++d) out[d] = 0.0;
+  for (int i = 0; i < kNumChildren<DIM>; ++i)
+    for (int d = 0; d < ndof; ++d) out[d] += w[i] * vals[i * ndof + d];
 }
 
 /// Evaluates the (gathered, hanging-consistent) elemental interpolant of
@@ -146,6 +136,29 @@ void forEachCellTerm(const OctList<DIM>& elems, const Octant<DIM>& nc,
   auto [i0, i1] = overlappedLocalRange(elems, nc, nc);
   for (std::size_t e = i0; e < i1; ++e)
     if (nc.isAncestorOf(elems[e])) fn(e, cellVolume(elems[e]));
+}
+
+/// transferCell's round-1 destination for new cell `nc`: the old rank that
+/// owns its center point.
+template <int DIM>
+int cellCenterOwner(const Splitters<DIM>& spl, const Octant<DIM>& nc) {
+  const int owner = spl.ownerOfPoint(cellCenter(nc));
+  PT_CHECK(owner >= 0);
+  return owner;
+}
+
+/// transferCell's round-2 routing for new cell `nc` whose round-1 replies
+/// covered volume `covered`: unless nc is (up to 1e-9 relative) fully
+/// covered, fn(q) for every old rank q overlapping nc except the center
+/// owner, ascending.
+template <int DIM, typename Fn>
+void forEachRound2Rank(const Splitters<DIM>& spl,
+                       const PartitionEndpoints<DIM>& oldEnds,
+                       const Octant<DIM>& nc, Real covered, Fn&& fn) {
+  if (covered >= cellVolume(nc) * (1.0 - 1e-9)) return;
+  const int centerOwner = cellCenterOwner(spl, nc);
+  for (int q : overlappedRanks(oldEnds, nc, nc))
+    if (q != centerOwner) fn(q);
 }
 
 }  // namespace detail
@@ -544,8 +557,7 @@ sim::PerRank<std::vector<Real>> transferCell(
     out[r].assign(elems.size(), 0.0);
     std::vector<std::vector<std::uint32_t>> buf(p);
     for (std::size_t e = 0; e < elems.size(); ++e) {
-      const int owner = spl.ownerOfPoint(detail::cellCenter(elems[e]));
-      PT_CHECK(owner >= 0);
+      const int owner = detail::cellCenterOwner(spl, elems[e]);
       pending[r][owner].push_back(e);
       for (int d = 0; d < DIM; ++d) buf[owner].push_back(elems[e].x[d]);
       buf[owner].push_back(elems[e].level);
@@ -605,17 +617,14 @@ sim::PerRank<std::vector<Real>> transferCell(
   for (int r = 0; r < p; ++r) {
     const auto& elems = newTree.localOf(r);
     std::vector<std::vector<std::uint32_t>> buf(p);
-    for (std::size_t e = 0; e < elems.size(); ++e) {
-      if (vsum[r][e] >= detail::cellVolume(elems[e]) * (1.0 - 1e-9))
-        continue;  // fully covered
-      const int centerOwner = spl.ownerOfPoint(detail::cellCenter(elems[e]));
-      for (int q : overlappedRanks(oldEnds, elems[e], elems[e])) {
-        if (q == centerOwner) continue;
-        pending2[r][q].push_back(e);
-        for (int d = 0; d < DIM; ++d) buf[q].push_back(elems[e].x[d]);
-        buf[q].push_back(elems[e].level);
-      }
-    }
+    for (std::size_t e = 0; e < elems.size(); ++e)
+      detail::forEachRound2Rank(spl, oldEnds, elems[e], vsum[r][e],
+                                [&](int q) {
+                                  pending2[r][q].push_back(e);
+                                  for (int d = 0; d < DIM; ++d)
+                                    buf[q].push_back(elems[e].x[d]);
+                                  buf[q].push_back(elems[e].level);
+                                });
     for (int dst = 0; dst < p; ++dst)
       if (!buf[dst].empty()) sends2[r].emplace_back(dst, std::move(buf[dst]));
   }
@@ -726,63 +735,32 @@ NodalPlan<DIM> buildNodalPlan(const Mesh<DIM>& oldMesh,
   return plan;
 }
 
-namespace detail {
-
-/// Answering rank r's entries of a nodal plan (NDOF > 0: dof count fixed
-/// at compile time, else `ndof`); returns the entry count.
-template <int DIM, int NDOF>
-std::size_t applyNodalEntries(const NodalPlan<DIM>& plan, int r,
-                              const RankMesh<DIM>& orm,
-                              const std::vector<Real>& x, int ndof,
-                              Field& out) {
-  constexpr int kC = kNumChildren<DIM>;
-  constexpr int kMaxNdof = 8;
-  const int nd = NDOF > 0 ? NDOF : ndof;
-  PT_CHECK(nd >= 1 && nd <= kMaxNdof);
-  Real vals[kC * kMaxNdof];
-  const std::uint32_t* elem = plan.elem[r].data();
-  const std::uint32_t* land = plan.land[r].data();
-  const Real* w = plan.weights[r].data();
-  std::size_t i = 0;
-  for (const auto& [dst, n] : plan.batches[r]) {
-    Real* o = out[dst].data();
-    for (const std::size_t end = i + n; i < end; ++i) {
-      fem::gatherElem(orm, elem[i], x, nd, vals);
-      weightedSum<DIM, NDOF>(w + i * kC, vals, nd,
-                             o + std::size_t(land[i]) * nd);
-    }
-  }
-  return i;
-}
-
-}  // namespace detail
-
 /// Applies a nodal plan: out (a new-mesh field of `ndof`, sized by the
 /// caller) receives oldF evaluated at every new node — bitwise what
 /// transferNodal returns. Allocates no field storage.
 template <int DIM>
 void applyNodalPlan(const NodalPlan<DIM>& plan, const Mesh<DIM>& oldMesh,
                     const Field& oldF, int ndof, Field& out) {
+  constexpr int kC = kNumChildren<DIM>;
+  constexpr int kMaxNdof = 8;
+  PT_CHECK(ndof >= 1 && ndof <= kMaxNdof);
   sim::SimComm& comm = oldMesh.comm();
+  Real vals[kC * kMaxNdof];
   for (int r = 0; r < comm.size(); ++r) {
     const RankMesh<DIM>& orm = oldMesh.rank(r);
-    std::size_t n;
-    switch (ndof) {  // the solvers' dof counts: scalar, CH pair, velocity
-      case 1:
-        n = detail::applyNodalEntries<DIM, 1>(plan, r, orm, oldF[r], 1, out);
-        break;
-      case 2:
-        n = detail::applyNodalEntries<DIM, 2>(plan, r, orm, oldF[r], 2, out);
-        break;
-      case 3:
-        n = detail::applyNodalEntries<DIM, 3>(plan, r, orm, oldF[r], 3, out);
-        break;
-      default:
-        n = detail::applyNodalEntries<DIM, 0>(plan, r, orm, oldF[r], ndof,
-                                              out);
+    const std::uint32_t* elem = plan.elem[r].data();
+    const std::uint32_t* land = plan.land[r].data();
+    const Real* w = plan.weights[r].data();
+    std::size_t i = 0;
+    for (const auto& [dst, n] : plan.batches[r]) {
+      Real* o = out[dst].data();
+      for (const std::size_t end = i + n; i < end; ++i) {
+        fem::gatherElem(orm, elem[i], oldF[r], ndof, vals);
+        detail::weightedSum<DIM>(w + i * kC, vals, ndof,
+                                 o + std::size_t(land[i]) * ndof);
+      }
     }
-    comm.chargeWork(r, 2.0 * kNumChildren<DIM> * ndof *
-                           static_cast<double>(n));
+    comm.chargeWork(r, 2.0 * kC * ndof * static_cast<double>(i));
   }
   comm.chargeSparseExchange(plan.batches, sizeof(Real) * ndof);
 }
@@ -878,17 +856,11 @@ CellPlan<DIM> buildCellPlan(const DistTree<DIM>& oldTree,
           vsum[r][pending[r][src][i]] += vols[i];
   };
   round(0, [&](int r, std::size_t e, auto&& to) {
-    const int owner =
-        tables.spl.ownerOfPoint(detail::cellCenter(newTree.localOf(r)[e]));
-    PT_CHECK(owner >= 0);
-    to(owner);
+    to(detail::cellCenterOwner(tables.spl, newTree.localOf(r)[e]));
   });
   round(1, [&](int r, std::size_t e, auto&& to) {
-    const Octant<DIM>& nc = newTree.localOf(r)[e];
-    if (vsum[r][e] >= detail::cellVolume(nc) * (1.0 - 1e-9)) return;
-    const int centerOwner = tables.spl.ownerOfPoint(detail::cellCenter(nc));
-    for (int q : overlappedRanks(tables.oldEnds, nc, nc))
-      if (q != centerOwner) to(q);
+    detail::forEachRound2Rank(tables.spl, tables.oldEnds, newTree.localOf(r)[e],
+                              vsum[r][e], to);
   });
 
   CellPlan<DIM> plan;
