@@ -8,7 +8,7 @@
 //
 // Here: (a) the per-element MATVEC kernel cost is *measured* on this
 // machine; (b) a SimComm run at small rank counts executes the real
-// distributed MATVEC twice — blocking and split-phase (commOverlap) — and
+// distributed MATVEC twice — blocking and split-phase (SimComm overlap) — and
 // asserts the outputs are bitwise identical while the virtual clocks
 // diverge only by the hidden exchange time; (c) the paper-scale series is
 // projected to 114,688 ranks with the explicit blocking and overlap

@@ -1,28 +1,24 @@
 // Fig 5 companion (single node): per-solve wall-time breakdown of one CHNS
-// time step, isolating the solver-hot-path work of this PR:
+// time step:
 //
-//   baseline-serial  reuseSolverResources=false — the historical path:
-//                    fresh Krylov workspaces every solve, block-Jacobi
-//                    re-eliminated per node per apply, ones-field mean
-//                    projection, 1 thread.
-//   pooled-serial    reuseSolverResources=true — pooled KSP workspaces,
-//                    factorized/cached preconditioners, 1 thread.
+//   pooled-serial    gmgPrecond=false — pooled KSP workspaces, factorized
+//                    and cached (block-)Jacobi preconditioners, 1 thread.
 //   pooled-2t        same, with the thread pool at 2 threads.
-//   gmg-serial       pooled + gmgPrecond=true — matrix-free GMG V-cycles
-//                    preconditioning the CH Newton, NS momentum and
-//                    pressure-Poisson solves, 1 thread.
+//   gmg-serial       gmgPrecond=true (the default) — matrix-free GMG
+//                    V-cycles preconditioning the CH Newton, NS momentum
+//                    and pressure-Poisson solves, 1 thread.
 //   gmg-2t           same, thread pool at 2 threads.
 //
 // The workload (2D drop, uniform level-6 mesh, 3 time steps) deliberately
 // stays below the kVecThreadMin / kSpmvThreadMin thresholds, so every
 // configuration runs the bitwise-identical serial reduction path and the
-// three block-Jacobi convergence histories MUST match exactly — the bench
+// two block-Jacobi convergence histories MUST match exactly — the bench
 // aborts if any iteration count, residual, or field fingerprint differs.
-// Speedup is therefore pure implementation win at identical arithmetic.
 // The two GMG configs change the preconditioner (different Krylov history
 // by design), so they are held to (a) bitwise identity between gmg-serial
 // and gmg-2t — the V-cycle is thread-count invariant — and (b) solution
-// fingerprints matching the baseline to solver tolerance.
+// fingerprints matching pooled-serial to solver tolerance.
+// Same-host reference reports: bench/baselines/<host-id>/BENCH_solver.json.
 //
 // A second section measures the blocked BSR SpMV microkernel against the
 // generic runtime-block-size loop at bs=4 (the DIM+2 coupled-system size)
@@ -96,15 +92,13 @@ Real fingerprint(const Field& f, int nRanks) {
   return s;
 }
 
-ConfigResult runConfig(const std::string& name, bool reuse, int threads,
-                       bool gmg) {
+ConfigResult runConfig(const std::string& name, int threads, bool gmg) {
   support::ThreadPool::instance().setThreads(threads);
   sim::SimComm comm(1, sim::Machine::loopback());
   chns::ChnsOptions<2> opt;
   opt.params.Cn = 0.03;
   opt.dt = 1e-3;
   opt.blocksPerStep = 2;
-  opt.reuseSolverResources = reuse;
   opt.gmgPrecond = gmg;
   auto tree = DistTree<2>::fromGlobal(comm, uniformTree<2>(kLevel));
   chns::ChnsSolver<2> s(comm, std::move(tree), opt);
@@ -245,16 +239,12 @@ void writeJson(const std::vector<ConfigResult>& cfgs, const BsrResult& bsr) {
     c.counters["vu_ksp_iters"] = vu;
     rep.configs.push_back(std::move(c));
   }
-  rep.derived["speedup_pooled_serial"] =
-      cfgs[0].medianStepSec / cfgs[1].medianStepSec;
-  rep.derived["speedup_pooled_2t"] =
-      cfgs[0].medianStepSec / cfgs[2].medianStepSec;
   // GMG vs the pooled block-Jacobi path it replaces as default.
   rep.derived["speedup_gmg_serial"] =
-      cfgs[1].medianStepSec / cfgs[3].medianStepSec;
-  rep.derived["speedup_gmg_2t"] = cfgs[2].medianStepSec / cfgs[4].medianStepSec;
+      cfgs[0].medianStepSec / cfgs[2].medianStepSec;
+  rep.derived["speedup_gmg_2t"] = cfgs[1].medianStepSec / cfgs[3].medianStepSec;
   rep.derived["ch_ksp_iter_ratio_gmg"] =
-      double(cfgs[1].chLinTotal()) / double(cfgs[3].chLinTotal());
+      double(cfgs[0].chLinTotal()) / double(cfgs[2].chLinTotal());
   rep.derived["bsr_bs4_generic_sec"] = bsr.genericSec;
   rep.derived["bsr_bs4_blocked_sec"] = bsr.blockedSec;
   rep.derived["bsr_bs4_speedup"] = bsr.speedup;
@@ -270,51 +260,44 @@ int main() {
   support::requireReleaseBuild("fig5_solver_breakdown");
 
   std::vector<ConfigResult> cfgs;
-  cfgs.push_back(runConfig("baseline-serial", /*reuse=*/false, /*threads=*/1,
-                           /*gmg=*/false));
-  cfgs.push_back(
-      runConfig("pooled-serial", /*reuse=*/true, /*threads=*/1, /*gmg=*/false));
-  cfgs.push_back(
-      runConfig("pooled-2t", /*reuse=*/true, /*threads=*/2, /*gmg=*/false));
-  cfgs.push_back(
-      runConfig("gmg-serial", /*reuse=*/true, /*threads=*/1, /*gmg=*/true));
-  cfgs.push_back(
-      runConfig("gmg-2t", /*reuse=*/true, /*threads=*/2, /*gmg=*/true));
+  cfgs.push_back(runConfig("pooled-serial", /*threads=*/1, /*gmg=*/false));
+  cfgs.push_back(runConfig("pooled-2t", /*threads=*/2, /*gmg=*/false));
+  cfgs.push_back(runConfig("gmg-serial", /*threads=*/1, /*gmg=*/true));
+  cfgs.push_back(runConfig("gmg-2t", /*threads=*/2, /*gmg=*/true));
 
   // Correctness gate 1: identical convergence histories and solution
   // fingerprints across the block-Jacobi configurations, step by step.
-  for (std::size_t c = 1; c < 3; ++c)
-    for (int st = 0; st < kSteps; ++st)
-      if (!sameHistory(cfgs[0].steps[st], cfgs[c].steps[st])) {
-        std::fprintf(stderr,
-                     "FAIL: config '%s' step %d diverged from baseline "
-                     "(histories must be bitwise identical)\n",
-                     cfgs[c].name.c_str(), st);
-        return 1;
-      }
+  for (int st = 0; st < kSteps; ++st)
+    if (!sameHistory(cfgs[0].steps[st], cfgs[1].steps[st])) {
+      std::fprintf(stderr,
+                   "FAIL: pooled-2t step %d diverged from pooled-serial "
+                   "(histories must be bitwise identical)\n",
+                   st);
+      return 1;
+    }
   // Correctness gate 2: the V-cycle is thread-count invariant, so the two
   // GMG configs must agree bitwise with each other...
   for (int st = 0; st < kSteps; ++st)
-    if (!sameHistory(cfgs[3].steps[st], cfgs[4].steps[st])) {
+    if (!sameHistory(cfgs[2].steps[st], cfgs[3].steps[st])) {
       std::fprintf(stderr,
                    "FAIL: gmg-2t step %d diverged from gmg-serial "
                    "(V-cycle must be thread-count invariant)\n",
                    st);
       return 1;
     }
-  // ...and converge to the same solution as the baseline within solver
+  // ...and converge to the same solution as pooled-serial within solver
   // tolerance (different preconditioner => different Krylov path, same
   // fixed point; outer tolerances are 1e-8, give the fingerprints 1e-6).
   for (int st = 0; st < kSteps; ++st) {
     const StepRecord& a = cfgs[0].steps[st];
-    const StepRecord& g = cfgs[3].steps[st];
+    const StepRecord& g = cfgs[2].steps[st];
     const Real tolPhi = 1e-6 * std::max<Real>(std::abs(a.phiSum), 1.0);
     const Real tolVel = 1e-6 * std::max<Real>(std::abs(a.velSum), 1.0);
     if (std::abs(a.phiSum - g.phiSum) > tolPhi ||
         std::abs(a.velSum - g.velSum) > tolVel) {
       std::fprintf(stderr,
                    "FAIL: gmg-serial step %d solution fingerprint off "
-                   "baseline beyond solver tolerance "
+                   "pooled-serial beyond solver tolerance "
                    "(phi %.17g vs %.17g, vel %.17g vs %.17g)\n",
                    st, a.phiSum, g.phiSum, a.velSum, g.velSum);
       return 1;
@@ -322,7 +305,7 @@ int main() {
   }
   std::printf(
       "histories: block-Jacobi configs identical, gmg thread-invariant and "
-      "on-baseline to tolerance (%d steps)\n\n",
+      "on pooled-serial to tolerance (%d steps)\n\n",
       kSteps);
 
   for (const auto& cfg : cfgs) {
@@ -338,19 +321,14 @@ int main() {
       std::printf(")\n");
     }
   }
-  const double spSerial = cfgs[0].medianStepSec / cfgs[1].medianStepSec;
-  const double sp2t = cfgs[0].medianStepSec / cfgs[2].medianStepSec;
-  std::printf("\nspeedup vs baseline-serial: pooled-serial %.2fx, "
-              "pooled-2t %.2fx (target >= 1.5x)\n",
-              spSerial, sp2t);
-  const double spGmg = cfgs[1].medianStepSec / cfgs[3].medianStepSec;
-  const double spGmg2t = cfgs[2].medianStepSec / cfgs[4].medianStepSec;
+  const double spGmg = cfgs[0].medianStepSec / cfgs[2].medianStepSec;
+  const double spGmg2t = cfgs[1].medianStepSec / cfgs[3].medianStepSec;
   const double chRatio =
-      double(cfgs[1].chLinTotal()) / double(cfgs[3].chLinTotal());
-  std::printf("gmg vs pooled: serial %.2fx, 2t %.2fx (target >= 1.8x); "
+      double(cfgs[0].chLinTotal()) / double(cfgs[2].chLinTotal());
+  std::printf("\ngmg vs pooled: serial %.2fx, 2t %.2fx (target >= 1.8x); "
               "CH Krylov iterations %lld -> %lld, %.1fx fewer (target >= "
               "3x)\n",
-              spGmg, spGmg2t, cfgs[1].chLinTotal(), cfgs[3].chLinTotal(),
+              spGmg, spGmg2t, cfgs[0].chLinTotal(), cfgs[2].chLinTotal(),
               chRatio);
 
   BsrResult bsr = benchBsr();

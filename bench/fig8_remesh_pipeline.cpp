@@ -1,27 +1,22 @@
 // Fig 8 companion (single node): end-to-end cost of the adaptivity step —
 // identify (Algorithms 1-4) -> remesh (Algorithms 5-7) -> mesh rebuild ->
-// inter-grid transfer -> solver-cache refresh — isolating the remesh
-// pipeline fast path of this PR:
+// inter-grid transfer -> solver-cache refresh:
 //
-//   baseline   remeshFastPath=false, identify.fastPath=false, 1 thread —
-//              the historical path: full-copy erosion/dilation sweeps,
-//              locatePoint provenance charges, unconditional mesh rebuild +
-//              5-field transfer with per-field routing-table gathers.
-//   fast       remeshFastPath=true, identify.fastPath=true, 1 thread —
-//              ping-pong + dirty-list local-Cahn sweeps, O(1) refine
-//              provenance, no-op remesh detection, one table gather per
-//              remesh epoch.
+//   fast       1 thread — ping-pong + dirty-list local-Cahn sweeps, O(1)
+//              refine provenance, no-op remesh detection, one table gather
+//              per remesh epoch.
 //   fast-4t    same, thread pool at 4 threads.
 //
 // The workload is a steady 2D drop on 4 simulated ranks: the first
 // adaptivity call refines the interface band (level 3 -> 6), and every
 // subsequent call reproduces the same want vector — the steady-interface
 // regime where the paper's Fig 8 requires remeshing to stay a small
-// fraction of a timestep. The baseline rebuilds everything each call; the
-// fast path detects the no-op and skips rebuild/transfer/invalidation.
-// All configurations MUST end with bitwise-identical trees and fields —
-// the bench exits nonzero on any mismatch. A final timed solver step gives
-// the remesh-to-solve cost fraction.
+// fraction of a timestep. The pipeline detects the no-op and skips
+// rebuild/transfer/invalidation. Both configurations MUST end with
+// bitwise-identical trees and fields — the bench exits nonzero on any
+// mismatch. A final timed solver step gives the remesh-to-solve cost
+// fraction.
+// Same-host reference reports: bench/baselines/<host-id>/BENCH_remesh.json.
 //
 // Emits BENCH_remesh.json in the unified "pt-bench-v1" schema
 // (obs/report.hpp; validated by tools/trace_summary.py, diffed by
@@ -78,7 +73,7 @@ Real fingerprint(const Field& f, int nRanks) {
   return s;
 }
 
-chns::ChnsSolver<2> makeSolver(sim::SimComm& comm, bool fast) {
+chns::ChnsSolver<2> makeSolver(sim::SimComm& comm) {
   chns::ChnsOptions<2> opt;
   opt.params.Cn = 0.02;
   opt.dt = 1e-3;
@@ -88,8 +83,6 @@ chns::ChnsSolver<2> makeSolver(sim::SimComm& comm, bool fast) {
   opt.interfaceLevel = 7;
   opt.featureLevel = 7;
   opt.referenceLevel = 7;
-  opt.remeshFastPath = fast;
-  opt.identify.fastPath = fast;
   auto tree = DistTree<2>::fromGlobal(comm, uniformTree<2>(4));
   chns::ChnsSolver<2> s(comm, std::move(tree), opt);
   s.setInitialCondition([&](const VecN<2>& x) {
@@ -98,7 +91,7 @@ chns::ChnsSolver<2> makeSolver(sim::SimComm& comm, bool fast) {
   return s;
 }
 
-ConfigResult runConfig(const std::string& name, bool fast, int threads) {
+ConfigResult runConfig(const std::string& name, int threads) {
   support::ThreadPool::instance().setThreads(threads);
   ConfigResult res;
   res.name = name;
@@ -106,7 +99,7 @@ ConfigResult runConfig(const std::string& name, bool fast, int threads) {
   std::vector<double> trialSecs;
   for (int trial = 0; trial < kTrials; ++trial) {
     sim::SimComm comm(kRanks, sim::Machine::loopback());
-    auto s = makeSolver(comm, fast);
+    auto s = makeSolver(comm);
 
     const auto t0 = std::chrono::steady_clock::now();
     for (int call = 0; call < kRemeshCalls; ++call) s.remeshNow();
@@ -168,14 +161,8 @@ void writeJson(const std::vector<ConfigResult>& cfgs) {
     c.counters["cache_invalidations"] = cfg.cacheInvalidations;
     rep.configs.push_back(std::move(c));
   }
-  rep.derived["speedup_fast_serial"] =
-      cfgs[0].remeshTotalSec / cfgs[1].remeshTotalSec;
-  rep.derived["speedup_fast_4t"] =
-      cfgs[0].remeshTotalSec / cfgs[2].remeshTotalSec;
-  rep.derived["remesh_to_solve_fraction_baseline"] =
-      cfgs[0].remeshTotalSec / kRemeshCalls / cfgs[0].stepSec;
   rep.derived["remesh_to_solve_fraction_fast"] =
-      cfgs[1].remeshTotalSec / kRemeshCalls / cfgs[1].stepSec;
+      cfgs[0].remeshTotalSec / kRemeshCalls / cfgs[0].stepSec;
   if (!rep.write("BENCH_remesh.json")) {
     std::perror("BENCH_remesh.json");
     std::exit(1);
@@ -188,20 +175,17 @@ int main() {
   support::requireReleaseBuild("fig8_remesh_pipeline");
 
   std::vector<ConfigResult> cfgs;
-  cfgs.push_back(runConfig("baseline", /*fast=*/false, /*threads=*/1));
-  cfgs.push_back(runConfig("fast", /*fast=*/true, /*threads=*/1));
-  cfgs.push_back(runConfig("fast-4t", /*fast=*/true, /*threads=*/4));
+  cfgs.push_back(runConfig("fast", /*threads=*/1));
+  cfgs.push_back(runConfig("fast-4t", /*threads=*/4));
 
   // Correctness gate: identical final trees and field fingerprints.
-  for (std::size_t c = 1; c < cfgs.size(); ++c)
-    if (!sameState(cfgs[0], cfgs[c])) {
-      std::fprintf(stderr,
-                   "FAIL: config '%s' final state diverged from baseline "
-                   "(trees and fields must be bitwise identical)\n",
-                   cfgs[c].name.c_str());
-      return 1;
-    }
-  std::printf("states: identical across all configs (%d remesh calls)\n\n",
+  if (!sameState(cfgs[0], cfgs[1])) {
+    std::fprintf(stderr,
+                 "FAIL: fast-4t final state diverged from fast "
+                 "(trees and fields must be bitwise identical)\n");
+    return 1;
+  }
+  std::printf("states: identical across thread counts (%d remesh calls)\n\n",
               kRemeshCalls);
 
   for (const auto& cfg : cfgs) {
@@ -214,18 +198,12 @@ int main() {
       std::printf("  %-20s %8.4f s\n", k.c_str(), v.seconds());
   }
 
-  const double spSerial = cfgs[0].remeshTotalSec / cfgs[1].remeshTotalSec;
-  const double sp4t = cfgs[0].remeshTotalSec / cfgs[2].remeshTotalSec;
-  std::printf("\nspeedup vs baseline: fast %.2fx (target >= 2x), "
-              "fast-4t %.2fx\n",
-              spSerial, sp4t);
   if (std::thread::hardware_concurrency() < 4)
     std::printf("note: only %u hardware thread(s) — fast-4t measures "
                 "threaded-path overhead/identity, not scaling\n",
                 std::thread::hardware_concurrency());
-  std::printf("remesh-to-solve fraction per call: baseline %.3f, fast %.3f\n",
-              cfgs[0].remeshTotalSec / kRemeshCalls / cfgs[0].stepSec,
-              cfgs[1].remeshTotalSec / kRemeshCalls / cfgs[1].stepSec);
+  std::printf("\nremesh-to-solve fraction per call: fast %.3f\n",
+              cfgs[0].remeshTotalSec / kRemeshCalls / cfgs[0].stepSec);
 
   writeJson(cfgs);
   std::printf("\nwrote BENCH_remesh.json\n");

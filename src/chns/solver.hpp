@@ -81,31 +81,6 @@ struct ChnsOptions {
       .rtol = 1e-8, .atol = 1e-10, .maxIterations = 12,
       .linear = {.rtol = 1e-6, .maxIterations = 200}};
 
-  /// Reuse solver resources across Krylov/Newton iterations and time steps:
-  /// pooled KSP workspaces (invalidated on remesh), preconditioners cached
-  /// per (mesh, dt) with pre-factorized diagonal blocks, allocation-free
-  /// nullspace deflation. All reused resources are bitwise-neutral —
-  /// convergence histories match the historical path exactly. Off = the
-  /// historical allocate-per-call behavior, kept as the measured baseline
-  /// for bench/fig5_solver_breakdown.
-  bool reuseSolverResources = true;
-
-  /// Remesh-pipeline fast path: no-op remesh detection (skip mesh rebuild,
-  /// transfer, and cache invalidation when the tree does not change), one
-  /// routing-table gather per remesh epoch shared by all transferred fields,
-  /// and per-phase remesh timers/charges. Results are bitwise identical to
-  /// the historical path; off = the measured fig8 bench baseline.
-  bool remeshFastPath = true;
-
-  /// Communication-computation overlap (DESIGN.md §15): split-phase ghost
-  /// and accumulate epochs in the MATVEC engines (interior panels run while
-  /// the boundary accumulate is in flight) and the async multi-field
-  /// remesh-transfer epoch. Purely a virtual-clock charge change — every
-  /// produced value, solver history, and collective count is bitwise
-  /// identical to the blocking path; off = the historical blocking charges
-  /// (the fig4a baseline series).
-  bool commOverlap = true;
-
   /// GMG-preconditioned CH/NS/PP solves: matrix-free V-cycles whose level
   /// operators are frozen-coefficient mass/stiffness blocks routed through
   /// the batched panel-GEMM engine. The coarsened-tree hierarchy is a pure
@@ -115,8 +90,8 @@ struct ChnsOptions {
   /// 1/rho(phi), local Cn) are volume-restricted down the tree chain, so
   /// Newton's lagged-Jacobian reuse re-discretizes every level from the
   /// current iterate. The whole path is bitwise identical for any thread
-  /// count. Off = the historical (block-)Jacobi preconditioners, bitwise
-  /// identical to the pooled PR-3 path.
+  /// count. Off = the (block-)Jacobi preconditioners alone, factorized once
+  /// per (mesh, dt) and cached — the same applies the GMG path falls back to.
   ///
   /// Degradation is graceful, never fatal: a V-cycle apply that fails its
   /// coarse solve (typed GmgCoarseSolveError) or returns non-finite values
@@ -124,18 +99,9 @@ struct ChnsOptions {
   /// solve family whose outer Krylov loop still caps out retires its GMG
   /// until the next real remesh (counters gmgPcFallbacks /
   /// gmgRetirements). Sharp-interface spinodal states — e.g. the fig8 jet,
-  /// where even the historical preconditioner saturates every cap — thus
-  /// run no worse than the historical path instead of failing the step.
+  /// where even block-Jacobi saturates every cap — thus run no worse than
+  /// the block-Jacobi path instead of failing the step.
   bool gmgPrecond = true;
-
-  /// SIMD microkernels in the batched MATVEC engine (fem/simd.hpp): when
-  /// on (default), panel GEMMs run at the widest runtime-detected ISA tier
-  /// (AVX-512F / AVX2+FMA; PT_SIMD can clamp it down). Off pins the scalar
-  /// tier, which replays the historical loop nest operation-for-operation —
-  /// the bitwise-comparable baseline the kernel-equivalence tests pin.
-  /// Vector tiers agree with it to roundoff (~1e-13 rel) and keep both
-  /// engines' determinism contracts for a fixed tier.
-  bool simdKernels = true;
 
   /// Per-solve GMG tuning. CH is a nonsymmetric 2x2 block system carrying
   /// the frozen advection coupling on per-element convection blocks:
@@ -163,7 +129,9 @@ class ChnsSolver {
   ChnsSolver(sim::SimComm& comm, DistTree<DIM> tree, ChnsOptions<DIM> opt)
       : comm_(&comm), opt_(std::move(opt)), tree_(std::move(tree)) {
     tel_->ranks.attach(comm_);
-    comm_->setOverlapEnabled(opt_.commOverlap);
+    // Split-phase ghost/accumulate epochs (DESIGN.md §15): only the
+    // virtual-clock charges differ from the blocking schedule.
+    comm_->setOverlapEnabled(true);
     rebuildMesh();
   }
 
@@ -297,55 +265,37 @@ class ChnsSolver {
     }
     }  // remesh-identify
 
-    if (opt_.remeshFastPath) {
-      // Tier-0 no-op exit: the identifier reproduced the exact want vector
-      // of the previous no-op verdict and the tree has not changed since
-      // (the memo is dropped whenever tree_ is reassigned). remesh() is
-      // deterministic in (tree, want), so the old verdict still holds —
-      // even the predicate scan can be skipped. This is what catches the
-      // steady state the tier-1 predicate must conservatively decline
-      // (e.g. standing coarsening votes that balance keeps undoing).
-      bool noop = wantIsMemoizedNoop_;
-      for (int r = 0; r < mesh_->nRanks() && wantIsMemoizedNoop_; ++r) {
-        noop = noop && want[r] == lastNoopWant_[r];
-        comm_->chargeWork(r, static_cast<double>(want[r].size()));
-      }
-      // Tier-1 no-op exit: conservative zero-allocation predicate; when it
-      // holds, remesh(tree_, want) is guaranteed to return the input tree,
-      // so the rebuild/transfer/invalidation below can be skipped wholesale
-      // (the steady-interface case). The rank-local verdicts are combined
-      // with one (charged) reduction.
-      if (!noop) noop = remeshIsNoOp(tree_, want);
-      comm_->allreduceMax(sim::PerRank<Real>(mesh_->nRanks(), 0.0));
-      if (noop) {
-        noopRemeshes_->inc();
-        lastNoopWant_ = std::move(want);
-        wantIsMemoizedNoop_ = true;
-        if (validate::enabled())
-          validateNow("after no-op remesh at step " + std::to_string(steps_));
-        return;
-      }
+    // Tier-0 no-op exit: the identifier reproduced the exact want vector of
+    // the previous no-op verdict and the tree has not changed since (the
+    // memo is dropped whenever tree_ is reassigned). remesh() is
+    // deterministic in (tree, want), so the old verdict still holds — even
+    // the predicate scan can be skipped. This is what catches the steady
+    // state the tier-1 predicate must conservatively decline (e.g. standing
+    // coarsening votes that balance keeps undoing).
+    bool noop = wantIsMemoizedNoop_;
+    for (int r = 0; r < mesh_->nRanks() && wantIsMemoizedNoop_; ++r) {
+      noop = noop && want[r] == lastNoopWant_[r];
+      comm_->chargeWork(r, static_cast<double>(want[r].size()));
     }
+    // Tier-1 no-op exit: conservative zero-allocation predicate; when it
+    // holds, remesh(tree_, want) is guaranteed to return the input tree, so
+    // the rebuild/transfer/invalidation below can be skipped wholesale (the
+    // steady-interface case). The rank-local verdicts are combined with one
+    // (charged) reduction.
+    if (!noop) noop = remeshIsNoOp(tree_, want);
+    comm_->allreduceMax(sim::PerRank<Real>(mesh_->nRanks(), 0.0));
+    if (noop) return finishNoopRemesh(std::move(want));
 
     RemeshTimers rt{&timers_["remesh-refine"], &timers_["remesh-coarsen"],
                     &timers_["remesh-balance"],
                     &timers_["remesh-repartition"]};
     DistTree<DIM> newTree = remesh(tree_, want, rt);
-    if (opt_.remeshFastPath) {
-      // Tier-2 no-op exit: exact tree comparison for cases the predicate
-      // conservatively declined (e.g. a family collapse balance undoes).
-      bool same = true;
-      for (int r = 0; r < mesh_->nRanks() && same; ++r)
-        same = newTree.localOf(r) == tree_.localOf(r);
-      if (same) {
-        noopRemeshes_->inc();
-        lastNoopWant_ = std::move(want);
-        wantIsMemoizedNoop_ = true;
-        if (validate::enabled())
-          validateNow("after no-op remesh at step " + std::to_string(steps_));
-        return;
-      }
-    }
+    // Tier-2 no-op exit: exact tree comparison for cases the predicate
+    // conservatively declined (e.g. a family collapse balance undoes).
+    bool same = true;
+    for (int r = 0; r < mesh_->nRanks() && same; ++r)
+      same = newTree.localOf(r) == tree_.localOf(r);
+    if (same) return finishNoopRemesh(std::move(want));
     wantIsMemoizedNoop_ = false;
     std::unique_ptr<Mesh<DIM>> newMesh;
     {
@@ -353,18 +303,14 @@ class ChnsSolver {
       newMesh = std::make_unique<Mesh<DIM>>(Mesh<DIM>::build(*comm_, newTree));
       meshRebuilds_->inc();
     }
-    // Transfer node-centered state, then cell-centered Cn. The fast path
-    // gathers the old-grid routing tables once for the whole epoch; the
-    // baseline re-gathers per field (the historical behavior).
+    // Transfer node-centered state, then cell-centered Cn. The old-grid
+    // routing tables are gathered once for the whole epoch.
     Field phiN, muN, velN, pN;
     localcahn::ElemField cnN;
     {
       obs::TimedSpan tt(timers_, "remesh-transfer");
       const intergrid::TransferTables<DIM> tables =
-          opt_.remeshFastPath ? intergrid::gatherTransferTables(tree_)
-                              : intergrid::TransferTables<DIM>{};
-      const intergrid::TransferTables<DIM>* tp =
-          opt_.remeshFastPath ? &tables : nullptr;
+          intergrid::gatherTransferTables(tree_);
       // The four nodal fields go through one async epoch: all query
       // exchanges posted up front, answers pipelined against in-flight
       // replies (falls back to sequential blocking calls when overlap is
@@ -374,12 +320,12 @@ class ChnsSolver {
       std::vector<Field> nodal = intergrid::transferNodalMany<DIM>(
           *mesh_,
           {{&phi_, 1}, {&mu_, 1}, {&vel_, DIM}, {&p_, 1}},
-          *newMesh, tp);
+          *newMesh, &tables);
       phiN = std::move(nodal[0]);
       muN = std::move(nodal[1]);
       velN = std::move(nodal[2]);
       pN = std::move(nodal[3]);
-      cnN = intergrid::transferCell(tree_, elemCn_, newTree, tp);
+      cnN = intergrid::transferCell(tree_, elemCn_, newTree, &tables);
     }
     tree_ = std::move(newTree);
     mesh_ = std::move(newMesh);
@@ -464,6 +410,16 @@ class ChnsSolver {
 
  private:
   // ---- Mesh-bound state ----------------------------------------------------
+
+  /// Records a no-op remesh verdict and memoizes its want vector for the
+  /// next call's tier-0 exit. Nothing is rebuilt, transferred or invalidated.
+  void finishNoopRemesh(sim::PerRank<std::vector<Level>> want) {
+    noopRemeshes_->inc();
+    lastNoopWant_ = std::move(want);
+    wantIsMemoizedNoop_ = true;
+    if (validate::enabled())
+      validateNow("after no-op remesh at step " + std::to_string(steps_));
+  }
 
   void rebuildMesh() {
     mesh_ = std::make_unique<Mesh<DIM>>(Mesh<DIM>::build(*comm_, tree_));
@@ -599,12 +555,6 @@ class ChnsSolver {
   /// BiCGStab diverge, costing more than the term buys. Rebuilt every
   /// makePc call — the Gmg is a pure function of (mesh, iterate, velocity,
   /// dt), so histories are independent of caching.
-  /// Kernel tier for the batched engine under this solver's options:
-  /// simdKernels off pins the scalar tier (the historical engine, bitwise).
-  fem::SimdIsa kernelIsa() const {
-    return opt_.simdKernels ? fem::simdIsa() : fem::SimdIsa::kScalar;
-  }
-
   void buildChGmg(Real dt, const Field& u) {
     obs::TimedSpan at(timers_, "ch-assemble");
     const auto& hier = ensureGmgHierarchy();
@@ -647,8 +597,7 @@ class ChnsSolver {
         }
       }
       return la::makeCoefBlockLevelOps<DIM>(m, 2, std::move(cM),
-                                            std::move(cK), std::move(cT),
-                                            kernelIsa());
+                                            std::move(cK), std::move(cT));
     };
     chGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
                                             opt_.gmgCh, &tel_->metrics);
@@ -681,8 +630,7 @@ class ChnsSolver {
         }
       }
       la::GmgLevelOps<DIM> ops =
-          la::makeCoefBlockLevelOps<DIM>(m, DIM, std::move(cM), std::move(cK),
-                                         nullptr, kernelIsa());
+          la::makeCoefBlockLevelOps<DIM>(m, DIM, std::move(cM), std::move(cK));
       // Per-level Dirichlet rows: the mask is owned by a shared_ptr kept
       // alive inside the op closure (dirichletOp captures it by reference),
       // and mirrored into ops.mask for the smoother-diagonal treatment.
@@ -724,8 +672,8 @@ class ChnsSolver {
         for (std::size_t e = 0; e < ne; ++e)
           (*cK)[r][e] = dt / (P.We * P.rho(phibar[l][r][e]));
       }
-      la::GmgLevelOps<DIM> ops = la::makeCoefBlockLevelOps<DIM>(
-          m, 1, std::move(cM), std::move(cK), nullptr, kernelIsa());
+      la::GmgLevelOps<DIM> ops =
+          la::makeCoefBlockLevelOps<DIM>(m, 1, std::move(cM), std::move(cK));
       // Euclidean nodal-mean deflation on this level's own node set; the
       // level operator is also projection-wrapped so the coarse Krylov
       // solve stays on the deflated subspace.
@@ -782,8 +730,8 @@ class ChnsSolver {
   /// large (finite) iterates; squaring those in the next residual assembly
   /// overflows to NaN. Physical fields in these nondimensional systems are
   /// O(1e2) at worst, so anything beyond the cap means the solve diverged
-  /// and its result must not enter the state. The historical block-Jacobi
-  /// path never trips this (its capped solves stay bounded).
+  /// and its result must not enter the state. The block-Jacobi path never
+  /// trips this (its capped solves stay bounded).
   static constexpr Real kGmgSaneCap = 1e8;
   static bool fieldSane(const Field& f) {
     for (std::size_t r = 0; r < f.size(); ++r)
@@ -814,21 +762,11 @@ class ChnsSolver {
   /// vector spans the kernel of the Neumann Poisson operator; CG requires
   /// rhs and preconditioned residuals orthogonal to it in the *vector* dot
   /// product, so this (not the mass-weighted mean) is the deflation used
-  /// inside the PP solve.
+  /// inside the PP solve. ownedSum(f) is dot(ones, f) without the ones
+  /// field; this runs in the PP preconditioner on every Krylov iteration.
   void projectNodalMean(Field& f) const {
-    Real sum;
-    if (opt_.reuseSolverResources) {
-      // ownedSum(f) == dot(ones, f) bitwise (1.0 * v == v) with the same
-      // simulated-work charge, minus the per-call ones-field allocation —
-      // this runs inside the PP preconditioner on every CG iteration.
-      sum = scalarSpace_->ownedSum(f);
-    } else {
-      Field ones = mesh_->makeField(1);
-      for (int r = 0; r < mesh_->nRanks(); ++r)
-        std::fill(ones[r].begin(), ones[r].end(), 1.0);
-      sum = mesh_->dot(ones, f, 1);
-    }
-    const Real mean = sum / static_cast<Real>(mesh_->globalNodeCount());
+    const Real mean = scalarSpace_->ownedSum(f) /
+                      static_cast<Real>(mesh_->globalNodeCount());
     for (int r = 0; r < mesh_->nRanks(); ++r)
       for (Real& v : f[r]) v -= mean;
   }
@@ -873,13 +811,18 @@ class ChnsSolver {
       vuSolve(dt);
     }
     // Per-solve iteration metrics: cumulative counters plus per-solve
-    // distributions of the Krylov/Newton iteration counts.
+    // distributions of the Krylov/Newton iteration counts. The *-unconverged
+    // counters count solves that missed their tolerance (VU: any direction).
     obs::Registry& m = tel_->metrics;
     m.counter("ch-newton-iters").inc(lastChNewton_.iterations);
     m.counter("ch-ksp-iters").inc(lastChNewton_.totalLinearIterations);
     m.counter("ns-ksp-iters").inc(lastNs_.iterations);
     m.counter("pp-ksp-iters").inc(lastPp_.iterations);
     m.counter("vu-ksp-iters").inc(lastVuIterations_);
+    m.counter("ch-unconverged").inc(lastChNewton_.converged ? 0 : 1);
+    m.counter("ns-unconverged").inc(lastNs_.converged ? 0 : 1);
+    m.counter("pp-unconverged").inc(lastPp_.converged ? 0 : 1);
+    m.counter("vu-unconverged").inc(lastVuConverged_ ? 0 : 1);
     m.histogram("ksp-iters-ch").add(lastChNewton_.totalLinearIterations);
     m.histogram("ksp-iters-ns").add(lastNs_.iterations);
     m.histogram("ksp-iters-pp").add(lastPp_.iterations);
@@ -958,73 +901,9 @@ class ChnsSolver {
     // Per-quad-point frozen linearization state: m, m', psi'', v, grad(mu).
     // Everything here depends only on the Newton iterate and velOld — not on
     // the Krylov vector — so it is invariant across all applies of one
-    // Jacobian. With resource reuse on, it is evaluated once per makeJ into
-    // chJCoef_ and replayed; the replay keeps every accumulation order and
-    // expression shape of the direct kernel, so cached applies are bitwise
-    // identical to the historical re-gathering path.
+    // Jacobian: it is evaluated once per makeJ into chJCoef_ and replayed.
     constexpr int kJq = 3 + 2 * DIM;
     auto makeJ = [&, dt](const Field& u) -> la::LinOp<Field> {
-      if (!opt_.reuseSolverResources) {
-        // Historical path: re-gather and re-evaluate the frozen state on
-        // every Krylov apply (the bench baseline). The linearization state
-        // is newton's current iterate, which outlives every apply of this
-        // operator — capture a pointer instead of copying two fields per
-        // Newton iteration.
-        const Field* up = &u;
-        return [this, dt, up, &quad, &bt](const Field& x, Field& y) {
-          obs::TimedSpan ot(timers_, "ch-op");
-          constexpr int nq = fem::Quadrature<DIM, 2>::kPoints;
-          const Field& u = *up;
-          const Params& P = opt_.params;
-          fem::matvecIndexed<DIM>(
-              *mesh_, x, y, 2,
-              [&, dt](int r, std::size_t e, const Octant<DIM>& oct,
-                      const Real* in, Real* out) {
-                std::array<Real, std::size_t(kC) * 2> uu;
-                std::array<Real, std::size_t(kC) * DIM> vo;
-                const RankMesh<DIM>& rm = mesh_->rank(r);
-                fem::gatherElem(rm, e, u[r], 2, uu.data());
-                fem::gatherElem(rm, e, velOldRef_->at(r), DIM, vo.data());
-                const Real h = oct.physSize(), cn = cnOf(r, e);
-                Real jac = 1;
-                for (int d = 0; d < DIM; ++d) jac *= h;
-                for (int q = 0; q < nq; ++q) {
-                  Real phi = 0, dphi = 0, dmu = 0;
-                  VecN<DIM> gdphi, gdmu, gmu, v;
-                  for (int i = 0; i < kC; ++i) {
-                    const Real N = bt.N[q][i];
-                    phi += N * uu[i * 2];
-                    dphi += N * in[i * 2];
-                    dmu += N * in[i * 2 + 1];
-                    for (int d = 0; d < DIM; ++d) {
-                      const Real dN = bt.dN[q][i][d] / h;
-                      gdphi[d] += dN * in[i * 2];
-                      gdmu[d] += dN * in[i * 2 + 1];
-                      gmu[d] += dN * uu[i * 2 + 1];
-                      v[d] += N * vo[i * DIM + d];
-                    }
-                  }
-                  const Real m = P.mobility(phi);
-                  const Real c2 = 1 - std::min(Real(1), phi * phi);
-                  const Real mprime =
-                      c2 > 1e-6 ? -phi / std::sqrt(c2) : 0.0;
-                  const Real w = quad.w[q] * jac;
-                  for (int i = 0; i < kC; ++i) {
-                    const Real N = bt.N[q][i];
-                    VecN<DIM> dN;
-                    for (int d = 0; d < DIM; ++d) dN[d] = bt.dN[q][i][d] / h;
-                    out[i * 2] +=
-                        w * (dphi / dt * N - dphi * dot(v, dN) +
-                             (m / (P.Pe * cn)) * dot(gdmu, dN) +
-                             (mprime * dphi / (P.Pe * cn)) * dot(gmu, dN));
-                    out[i * 2 + 1] +=
-                        w * ((dmu - Params::d2psi(phi) * dphi) * N -
-                             cn * cn * dot(gdphi, dN));
-                  }
-                }
-              });
-        };
-      }
       {
         obs::TimedSpan ot(timers_, "ch-op");
         chJCoef_.resize(mesh_->nRanks());
@@ -1075,9 +954,8 @@ class ChnsSolver {
               const Real h = oct.physSize(), cn = cnOf(r, e);
               Real jac = 1;
               for (int d = 0; d < DIM; ++d) jac *= h;
-              // Per-element table of bt.dN/h: the same division the direct
-              // kernel performs at every use, done once (bitwise identical,
-              // and the inner loops become pure fused multiply-adds).
+              // Per-element table of bt.dN/h, so the inner loops are pure
+              // fused multiply-adds.
               Real dNh[nq][kC][DIM];
               for (int q = 0; q < nq; ++q)
                 for (int i = 0; i < kC; ++i)
@@ -1166,11 +1044,14 @@ class ChnsSolver {
           chGmg_.reset();
         }
       }
-      if (opt_.gmgPrecond && !chGmgRetired_) {
-        if (!chPc_ || chPcDt_ != dt) {
-          chPc_ = la::makeBlockJacobi(*mesh_, 2, assembleChDiag());
-          chPcDt_ = dt;
-        }
+      // The diagonal approximation is state-independent, so the factorized
+      // blocks are cached per (mesh, dt) instead of being rebuilt on every
+      // Newton iteration.
+      if (!chPc_ || chPcDt_ != dt) {
+        chPc_ = la::makeBlockJacobi(*mesh_, 2, assembleChDiag());
+        chPcDt_ = dt;
+      }
+      if (opt_.gmgPrecond && !chGmgRetired_)
         return [this, failed = std::make_shared<bool>(false)](const Field& r,
                                                               Field& z) {
           obs::TimedSpan pt(timers_, "ch-pc");
@@ -1179,36 +1060,14 @@ class ChnsSolver {
           *failed = true;
           chPc_(r, z);
         };
-      }
-      if (!opt_.reuseSolverResources) {
-        // Historical path: re-assemble + re-eliminate every Newton
-        // iteration (the bench baseline).
-        return [this, M0 = la::makeBlockJacobiUnfactored(*mesh_, 2,
-                                                         assembleChDiag())](
-                   const Field& r, Field& z) {
-          obs::TimedSpan pt(timers_, "ch-pc");
-          M0(r, z);
-        };
-      }
-      // The diagonal approximation is state-independent, so the factorized
-      // blocks are cached per (mesh, dt) instead of being rebuilt on every
-      // Newton iteration. Factored applies are bitwise identical to the
-      // historical denseSolve-per-node path.
-      if (!chPc_ || chPcDt_ != dt) {
-        chPc_ = la::makeBlockJacobi(*mesh_, 2, assembleChDiag());
-        chPcDt_ = dt;
-      }
       return [this](const Field& r, Field& z) {
         obs::TimedSpan pt(timers_, "ch-pc");
         chPc_(r, z);
       };
     };
 
-    velOldRef_ = &velOld;
-    auto res = la::newton<la::FieldSpace<DIM>>(
-        S, U, residual, makeJ, makePc, opt_.chNewton,
-        opt_.reuseSolverResources ? &chWs_ : nullptr);
-    velOldRef_ = nullptr;
+    auto res = la::newton<la::FieldSpace<DIM>>(S, U, residual, makeJ, makePc,
+                                               opt_.chNewton, &chWs_);
     lastChNewton_ = res;
     if (opt_.gmgPrecond && !chGmgRetired_ && !res.converged &&
         res.iterations > 0 &&
@@ -1224,7 +1083,7 @@ class ChnsSolver {
     }
     if (opt_.gmgPrecond && !fieldSane(U)) {
       // A degenerate preconditioned solve overflowed the iterate. Keep the
-      // pre-solve phi/mu (the historical caps publish bounded garbage, never
+      // pre-solve phi/mu (block-Jacobi caps publish bounded garbage, never
       // NaN — downstream solves must be able to rely on that) and retire
       // the CH V-cycle for this mesh epoch.
       gmgPcFallbacks_->inc();
@@ -1275,12 +1134,10 @@ class ChnsSolver {
 
     // Per-quad-point frozen state for the linearized momentum operator:
     // rho, eta, the flux J, and the advecting velocity w depend only on
-    // phi/mu/velOld, which are fixed for the whole GMRES solve. With
-    // resource reuse they are evaluated once into nsCoef_ and replayed with
-    // the identical accumulation orders/expressions (bitwise-equal applies);
-    // the baseline path re-gathers them on every Krylov apply.
+    // phi/mu/velOld, which are fixed for the whole GMRES solve, so they are
+    // evaluated once into nsCoef_ and replayed on every Krylov apply.
     constexpr int kNsQ = 2 + 2 * DIM;
-    if (opt_.reuseSolverResources) {
+    {
       obs::TimedSpan ot(timers_, "ns-op");
       nsCoef_.resize(mesh_->nRanks());
       std::array<Real, kC> ph, muv;
@@ -1315,104 +1172,54 @@ class ChnsSolver {
       }
     }
 
-    la::LinOp<Field> Araw;
-    if (opt_.reuseSolverResources) {
-      Araw = [&, dt](const Field& x, Field& y) {
-        obs::TimedSpan ot(timers_, "ns-op");
-        fem::matvecIndexed<DIM>(
-            *mesh_, x, y, DIM,
-            [&, dt](int r, std::size_t e, const Octant<DIM>& /*oct*/,
-                    const Real* in, Real* out) {
-              const Real h = mesh_->rank(r).elems[e].physSize();
-              Real jac = 1;
-              for (int d = 0; d < DIM; ++d) jac *= h;
-              // bt.dN/h hoisted per element — identical division, done once.
-              Real dNh[nq][kC][DIM];
-              for (int q = 0; q < nq; ++q)
-                for (int i = 0; i < kC; ++i)
+    la::LinOp<Field> Araw = [&, dt](const Field& x, Field& y) {
+      obs::TimedSpan ot(timers_, "ns-op");
+      fem::matvecIndexed<DIM>(
+          *mesh_, x, y, DIM,
+          [&, dt](int r, std::size_t e, const Octant<DIM>& /*oct*/,
+                  const Real* in, Real* out) {
+            const Real h = mesh_->rank(r).elems[e].physSize();
+            Real jac = 1;
+            for (int d = 0; d < DIM; ++d) jac *= h;
+            // bt.dN/h hoisted per element — identical division, done once.
+            Real dNh[nq][kC][DIM];
+            for (int q = 0; q < nq; ++q)
+              for (int i = 0; i < kC; ++i)
+                for (int d = 0; d < DIM; ++d)
+                  dNh[q][i][d] = bt.dN[q][i][d] / h;
+            const Real* c = nsCoef_[r].data() + e * std::size_t(nq) * kNsQ;
+            for (int q = 0; q < nq; ++q, c += kNsQ) {
+              const Real rho = c[0], eta = c[1];
+              VecN<DIM> Jf, w;
+              for (int d = 0; d < DIM; ++d) {
+                Jf[d] = c[2 + d];
+                w[d] = c[2 + DIM + d];
+              }
+              VecN<DIM> xq;
+              std::array<VecN<DIM>, DIM> gx;
+              for (int i = 0; i < kC; ++i) {
+                const Real N = bt.N[q][i];
+                for (int a = 0; a < DIM; ++a) {
+                  xq[a] += N * in[i * DIM + a];
                   for (int d = 0; d < DIM; ++d)
-                    dNh[q][i][d] = bt.dN[q][i][d] / h;
-              const Real* c = nsCoef_[r].data() + e * std::size_t(nq) * kNsQ;
-              for (int q = 0; q < nq; ++q, c += kNsQ) {
-                const Real rho = c[0], eta = c[1];
-                VecN<DIM> Jf, w;
-                for (int d = 0; d < DIM; ++d) {
-                  Jf[d] = c[2 + d];
-                  w[d] = c[2 + DIM + d];
-                }
-                VecN<DIM> xq;
-                std::array<VecN<DIM>, DIM> gx;
-                for (int i = 0; i < kC; ++i) {
-                  const Real N = bt.N[q][i];
-                  for (int a = 0; a < DIM; ++a) {
-                    xq[a] += N * in[i * DIM + a];
-                    for (int d = 0; d < DIM; ++d)
-                      gx[a][d] += dNh[q][i][d] * in[i * DIM + a];
-                  }
-                }
-                const Real wq = quad.w[q] * jac;
-                for (int i = 0; i < kC; ++i) {
-                  const Real N = bt.N[q][i];
-                  VecN<DIM> dN;
-                  for (int d = 0; d < DIM; ++d) dN[d] = dNh[q][i][d];
-                  for (int a = 0; a < DIM; ++a) {
-                    Real conv = dot(w, gx[a]) * rho + dot(Jf, gx[a]) / P.Pe;
-                    out[i * DIM + a] +=
-                        wq * (rho * xq[a] * N / dt + 0.5 * conv * N +
-                              (0.5 / P.Re) * eta * dot(gx[a], dN));
-                  }
+                    gx[a][d] += dNh[q][i][d] * in[i * DIM + a];
                 }
               }
-            });
-      };
-    } else {
-      Araw = [&, dt](const Field& x, Field& y) {
-        obs::TimedSpan ot(timers_, "ns-op");
-        fem::matvecIndexed<DIM>(
-            *mesh_, x, y, DIM,
-            [&, dt](int r, std::size_t e, const Octant<DIM>& oct,
-                    const Real* in, Real* out) {
-              std::array<Real, kC> ph, muv;
-              std::array<Real, std::size_t(kC) * DIM> vo;
-              const RankMesh<DIM>& rm = mesh_->rank(r);
-              fem::gatherElem(rm, e, phi_[r], 1, ph.data());
-              fem::gatherElem(rm, e, mu_[r], 1, muv.data());
-              fem::gatherElem(rm, e, velOld[r], DIM, vo.data());
-              const Real h = oct.physSize();
-              Real jac = 1;
-              for (int d = 0; d < DIM; ++d) jac *= h;
-              for (int q = 0; q < nq; ++q) {
-                Real rho, eta;
-                VecN<DIM> Jf, gphi;
-                stateAtQ(r, e, oct, q, ph.data(), muv.data(), rho, eta, Jf,
-                         gphi);
-                VecN<DIM> w, xq;
-                std::array<VecN<DIM>, DIM> gx;  // gradient of each component
-                for (int i = 0; i < kC; ++i) {
-                  const Real N = bt.N[q][i];
-                  for (int a = 0; a < DIM; ++a) {
-                    w[a] += N * vo[i * DIM + a];
-                    xq[a] += N * in[i * DIM + a];
-                    for (int d = 0; d < DIM; ++d)
-                      gx[a][d] += (bt.dN[q][i][d] / h) * in[i * DIM + a];
-                  }
-                }
-                const Real wq = quad.w[q] * jac;
-                for (int i = 0; i < kC; ++i) {
-                  const Real N = bt.N[q][i];
-                  VecN<DIM> dN;
-                  for (int d = 0; d < DIM; ++d) dN[d] = bt.dN[q][i][d] / h;
-                  for (int a = 0; a < DIM; ++a) {
-                    Real conv = dot(w, gx[a]) * rho + dot(Jf, gx[a]) / P.Pe;
-                    out[i * DIM + a] +=
-                        wq * (rho * xq[a] * N / dt + 0.5 * conv * N +
-                              (0.5 / P.Re) * eta * dot(gx[a], dN));
-                  }
+              const Real wq = quad.w[q] * jac;
+              for (int i = 0; i < kC; ++i) {
+                const Real N = bt.N[q][i];
+                VecN<DIM> dN;
+                for (int d = 0; d < DIM; ++d) dN[d] = dNh[q][i][d];
+                for (int a = 0; a < DIM; ++a) {
+                  Real conv = dot(w, gx[a]) * rho + dot(Jf, gx[a]) / P.Pe;
+                  out[i * DIM + a] +=
+                      wq * (rho * xq[a] * N / dt + 0.5 * conv * N +
+                            (0.5 / P.Re) * eta * dot(gx[a], dN));
                 }
               }
-            });
-      };
-    }
+            }
+          });
+    };
 
     // Weak RHS.
     Field rhs = mesh_->makeField(DIM);
@@ -1478,7 +1285,7 @@ class ChnsSolver {
 
     // Node-block Jacobi on the time + viscous part. The diagonal is
     // state-independent, so the factorized blocks are cached per (mesh, dt)
-    // and reused across time steps when resource reuse is on.
+    // and reused across time steps.
     auto assembleNsDiag = [&, dt]() -> Field {
       obs::TimedSpan at(timers_, "ns-assemble");
       return la::assembleDiagonalBlocks<DIM>(
@@ -1513,12 +1320,12 @@ class ChnsSolver {
       }
     }
     const bool nsUseGmg = opt_.gmgPrecond && !nsGmgRetired_;
+    // The pooled diagonal doubles as the GMG graceful-degradation fallback.
+    if (!nsPc_ || nsPcDt_ != dt) {
+      nsPc_ = la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag());
+      nsPcDt_ = dt;
+    }
     if (nsUseGmg) {
-      // The pooled diagonal doubles as the graceful-degradation fallback.
-      if (!nsPc_ || nsPcDt_ != dt) {
-        nsPc_ = la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag());
-        nsPcDt_ = dt;
-      }
       M = [this, failed = std::make_shared<bool>(false)](const Field& r,
                                                          Field& z) {
         obs::TimedSpan pt(timers_, "ns-pc");
@@ -1527,28 +1334,16 @@ class ChnsSolver {
         *failed = true;
         nsPc_(r, z);
       };
-    } else if (opt_.reuseSolverResources) {
-      if (!nsPc_ || nsPcDt_ != dt) {
-        nsPc_ = la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag());
-        nsPcDt_ = dt;
-      }
+    } else {
       M = [this](const Field& r, Field& z) {
         obs::TimedSpan pt(timers_, "ns-pc");
         nsPc_(r, z);
-      };
-    } else {
-      M = [this, M0 = la::makeBlockJacobiUnfactored(*mesh_, DIM,
-                                                    assembleNsDiag())](
-              const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "ns-pc");
-        M0(r, z);
       };
     }
 
     Field vstar = vel_;  // initial guess
     fem::copyMasked(*mesh_, mask_, g, vstar, DIM);
-    lastNs_ = la::gmres(S, A, rhsBc, vstar, opt_.nsKsp, &M,
-                        opt_.reuseSolverResources ? &nsWs_ : nullptr);
+    lastNs_ = la::gmres(S, A, rhsBc, vstar, opt_.nsKsp, &M, &nsWs_);
     if (nsUseGmg && !lastNs_.converged) {
       nsGmgRetired_ = true;
       gmgRetirements_->inc();
@@ -1573,11 +1368,10 @@ class ChnsSolver {
     const auto& bt = fem::BasisTable<DIM, 2>::get();
     constexpr int nq = fem::Quadrature<DIM, 2>::kPoints;
 
-    // The 1/(We rho(phi)) mobility coefficient is fixed for the whole CG
-    // solve; with resource reuse it is evaluated once per quad point into
-    // ppCoef_ instead of re-gathering phi on every apply (bitwise-equal:
-    // same coefficient value enters the same expression).
-    if (opt_.reuseSolverResources) {
+    // The 1/(We rho(phi)) mobility coefficient is fixed for the whole
+    // solve, so it is evaluated once per quad point into ppCoef_ instead of
+    // re-gathering phi on every apply.
+    {
       obs::TimedSpan ot(timers_, "pp-op");
       ppCoef_.resize(mesh_->nRanks());
       std::array<Real, kC> ph;
@@ -1597,71 +1391,37 @@ class ChnsSolver {
       }
     }
 
-    la::LinOp<Field> A;
-    if (opt_.reuseSolverResources) {
-      A = [&, dt](const Field& x, Field& y) {
-        obs::TimedSpan ot(timers_, "pp-op");
-        fem::matvecIndexed<DIM>(
-            *mesh_, x, y, 1,
-            [&](int r, std::size_t e, const Octant<DIM>& oct,
-                const Real* in, Real* out) {
-              const Real h = oct.physSize();
-              Real jac = 1;
-              for (int d = 0; d < DIM; ++d) jac *= h;
-              // bt.dN/h hoisted per element — identical division, done once.
-              Real dNh[nq][kC][DIM];
-              for (int q = 0; q < nq; ++q)
-                for (int i = 0; i < kC; ++i)
-                  for (int d = 0; d < DIM; ++d)
-                    dNh[q][i][d] = bt.dN[q][i][d] / h;
-              const Real* c = ppCoef_[r].data() + e * std::size_t(nq);
-              for (int q = 0; q < nq; ++q) {
-                VecN<DIM> gx;
-                for (int i = 0; i < kC; ++i)
-                  for (int d = 0; d < DIM; ++d)
-                    gx[d] += dNh[q][i][d] * in[i];
-                const Real coef = c[q];
-                const Real wq = quad.w[q] * jac;
-                for (int i = 0; i < kC; ++i) {
-                  VecN<DIM> dN;
-                  for (int d = 0; d < DIM; ++d) dN[d] = dNh[q][i][d];
-                  out[i] += wq * coef * dot(gx, dN);
-                }
+    la::LinOp<Field> A = [&, dt](const Field& x, Field& y) {
+      obs::TimedSpan ot(timers_, "pp-op");
+      fem::matvecIndexed<DIM>(
+          *mesh_, x, y, 1,
+          [&](int r, std::size_t e, const Octant<DIM>& oct,
+              const Real* in, Real* out) {
+            const Real h = oct.physSize();
+            Real jac = 1;
+            for (int d = 0; d < DIM; ++d) jac *= h;
+            // bt.dN/h hoisted per element — identical division, done once.
+            Real dNh[nq][kC][DIM];
+            for (int q = 0; q < nq; ++q)
+              for (int i = 0; i < kC; ++i)
+                for (int d = 0; d < DIM; ++d)
+                  dNh[q][i][d] = bt.dN[q][i][d] / h;
+            const Real* c = ppCoef_[r].data() + e * std::size_t(nq);
+            for (int q = 0; q < nq; ++q) {
+              VecN<DIM> gx;
+              for (int i = 0; i < kC; ++i)
+                for (int d = 0; d < DIM; ++d)
+                  gx[d] += dNh[q][i][d] * in[i];
+              const Real coef = c[q];
+              const Real wq = quad.w[q] * jac;
+              for (int i = 0; i < kC; ++i) {
+                VecN<DIM> dN;
+                for (int d = 0; d < DIM; ++d) dN[d] = dNh[q][i][d];
+                out[i] += wq * coef * dot(gx, dN);
               }
-            });
-      };
-    } else {
-      A = [&, dt](const Field& x, Field& y) {
-        obs::TimedSpan ot(timers_, "pp-op");
-        fem::matvecIndexed<DIM>(
-            *mesh_, x, y, 1,
-            [&, dt](int r, std::size_t e, const Octant<DIM>& oct,
-                    const Real* in, Real* out) {
-              std::array<Real, kC> ph;
-              const RankMesh<DIM>& rm = mesh_->rank(r);
-              fem::gatherElem(rm, e, phi_[r], 1, ph.data());
-              const Real h = oct.physSize();
-              Real jac = 1;
-              for (int d = 0; d < DIM; ++d) jac *= h;
-              for (int q = 0; q < nq; ++q) {
-                Real phi = 0;
-                VecN<DIM> gx;
-                for (int i = 0; i < kC; ++i) {
-                  phi += bt.N[q][i] * ph[i];
-                  for (int d = 0; d < DIM; ++d)
-                    gx[d] += (bt.dN[q][i][d] / h) * in[i];
-                }
-                const Real coef = dt / (P.We * P.rho(phi));
-                const Real wq = quad.w[q] * jac;
-                for (int i = 0; i < kC; ++i) {
-                  VecN<DIM> dN;
-                  for (int d = 0; d < DIM; ++d) dN[d] = bt.dN[q][i][d] / h;
-                  out[i] += wq * coef * dot(gx, dN);
-                }
-              }
-            });
-      };
-    }
+            }
+          });
+    };
 
     Field rhs = mesh_->makeField(1);
     {
@@ -1715,13 +1475,13 @@ class ChnsSolver {
       }
     }
     const bool ppUseGmg = opt_.gmgPrecond && !ppGmgRetired_;
+    // State-independent diagonal: assembled once per (mesh, dt). The pooled
+    // Jacobi doubles as the GMG graceful-degradation fallback.
+    if (!ppPc0_ || ppPcDt_ != dt) {
+      ppPc0_ = la::makeJacobi(*mesh_, 1, assemblePpDiag());
+      ppPcDt_ = dt;
+    }
     if (ppUseGmg) {
-      // The pooled stiffness-diagonal Jacobi doubles as the graceful-
-      // degradation fallback.
-      if (!ppPc0_ || ppPcDt_ != dt) {
-        ppPc0_ = la::makeJacobi(*mesh_, 1, assemblePpDiag());
-        ppPcDt_ = dt;
-      }
       M = [this, failed = std::make_shared<bool>(false)](const Field& r,
                                                          Field& z) {
         obs::TimedSpan pt(timers_, "pp-pc");
@@ -1732,28 +1492,16 @@ class ChnsSolver {
         }
         projectNodalMean(z);
       };
-    } else if (opt_.reuseSolverResources) {
-      // State-independent diagonal: assembled once per (mesh, dt).
-      if (!ppPc0_ || ppPcDt_ != dt) {
-        ppPc0_ = la::makeJacobi(*mesh_, 1, assemblePpDiag());
-        ppPcDt_ = dt;
-      }
+    } else {
       M = [this](const Field& r, Field& z) {
         obs::TimedSpan pt(timers_, "pp-pc");
         ppPc0_(r, z);
         projectNodalMean(z);
       };
-    } else {
-      M = [this, M0 = la::makeJacobi(*mesh_, 1, assemblePpDiag())](
-              const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "pp-pc");
-        M0(r, z);
-        projectNodalMean(z);
-      };
     }
     // The V-cycle (injection restriction != prolongation^T) is not
     // symmetric, so preconditioned CG theory does not apply; BiCGStab
-    // carries the GMG path. The non-GMG path keeps historical CG.
+    // carries the GMG path. The non-GMG path keeps CG.
     //
     // With gmgPrecond on, the solve is additionally allowed to fail soft:
     // upstream GMG-degraded solves can hand this system states on which
@@ -1761,14 +1509,11 @@ class ChnsSolver {
     // nonsymmetric) makes CG graze pAp <= 0, and BiCGStab can break down
     // to a non-finite iterate. Either way the pressure increment for this
     // block is skipped (dp = 0) instead of failing the step; the
-    // historical gmgPrecond=off path keeps its exact throwing semantics.
+    // gmgPrecond=off path keeps its throwing semantics.
     try {
       lastPp_ = ppUseGmg
-                    ? la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M,
-                                   opt_.reuseSolverResources ? &ppWs_
-                                                             : nullptr)
-                    : la::cg(S, A, rhs, dp, opt_.ppKsp, &M,
-                             opt_.reuseSolverResources ? &ppWs_ : nullptr);
+                    ? la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M, &ppWs_)
+                    : la::cg(S, A, rhs, dp, opt_.ppKsp, &M, &ppWs_);
     } catch (const CheckError&) {
       if (!opt_.gmgPrecond) throw;
       gmgPcFallbacks_->inc();
@@ -1806,24 +1551,16 @@ class ChnsSolver {
       obs::TimedSpan ot(timers_, "vu-op");
       fem::massMatvec(*mesh_, x, y);
     };
-    la::LinOp<Field> pc;
-    if (opt_.reuseSolverResources) {
-      // vuDiag_ is already built once per mesh; keep the preconditioner
-      // closure (and its copy of the diagonal) across solves too.
-      if (!vuPc_) vuPc_ = la::makeJacobi(*mesh_, 1, vuDiag_);
-      pc = [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "vu-pc");
-        vuPc_(r, z);
-      };
-    } else {
-      pc = [this, M0 = la::makeJacobi(*mesh_, 1, vuDiag_)](const Field& r,
-                                                           Field& z) {
-        obs::TimedSpan pt(timers_, "vu-pc");
-        M0(r, z);
-      };
-    }
+    // vuDiag_ is already built once per mesh; keep the preconditioner
+    // closure (and its copy of the diagonal) across solves too.
+    if (!vuPc_) vuPc_ = la::makeJacobi(*mesh_, 1, vuDiag_);
+    la::LinOp<Field> pc = [this](const Field& r, Field& z) {
+      obs::TimedSpan pt(timers_, "vu-pc");
+      vuPc_(r, z);
+    };
 
     lastVuIterations_ = 0;
+    lastVuConverged_ = true;
     for (int a = 0; a < DIM; ++a) {
       // rhs_a = M v*_a - int (dt/(We rho)) d_a(dp) u.
       Field rhs = mesh_->makeField(1);
@@ -1859,9 +1596,9 @@ class ChnsSolver {
       for (int r = 0; r < mesh_->nRanks(); ++r)
         for (std::size_t i = 0; i < mesh_->rank(r).nNodes(); ++i)
           va[r][i] = velStar_[r][i * DIM + a];
-      auto res = la::cg(S, Mop, rhs, va, opt_.vuKsp, &pc,
-                        opt_.reuseSolverResources ? &vuWs_ : nullptr);
+      auto res = la::cg(S, Mop, rhs, va, opt_.vuKsp, &pc, &vuWs_);
       lastVuIterations_ += res.iterations;
+      lastVuConverged_ = lastVuConverged_ && res.converged;
       for (int r = 0; r < mesh_->nRanks(); ++r)
         for (std::size_t i = 0; i < mesh_->rank(r).nNodes(); ++i)
           vel_[r][i * DIM + a] = va[r][i];
@@ -1874,6 +1611,7 @@ class ChnsSolver {
   la::NewtonResult lastChNewton_{};
   la::KspResult lastNs_{}, lastPp_{};
   int lastVuIterations_ = 0;
+  bool lastVuConverged_ = true;  ///< every direction of the last VU solve
 
  private:
   sim::SimComm* comm_;
@@ -1904,11 +1642,10 @@ class ChnsSolver {
   bool wantIsMemoizedNoop_ = false;
   std::function<void(ChnsSolver&)> postStepHook_;
   int postStepEvery_ = 1;
-  const Field* velOldRef_ = nullptr;  // scratch for the CH Jacobian closure
 
-  // Pooled solver resources (reuseSolverResources): Krylov workspaces kept
-  // warm across time steps and preconditioners cached per (mesh, dt). All
-  // invalidated by invalidateSolverCaches() on remesh.
+  // Pooled solver resources: Krylov workspaces kept warm across time steps
+  // and preconditioners cached per (mesh, dt). All invalidated by
+  // invalidateSolverCaches() on remesh.
   la::KspWorkspace<Field> chWs_, nsWs_, ppWs_, vuWs_;
   la::LinOp<Field> chPc_, nsPc_, ppPc0_, vuPc_;
   Real chPcDt_ = -1, nsPcDt_ = -1, ppPcDt_ = -1;
@@ -1919,10 +1656,9 @@ class ChnsSolver {
   // solves). Only read while the owning solve's state fields are alive.
   Field chJCoef_, nsCoef_, ppCoef_;
   // GMG preconditioning (gmgPrecond): one coarsened-tree hierarchy per
-  // mesh, shared by the per-solve Gmg objects. Cached unconditionally
-  // (hierarchy construction never touches solution state, so caching is
-  // bitwise-neutral and keeps reuse-on/off histories directly comparable);
-  // dropped by invalidateSolverCaches() on every real remesh.
+  // mesh, shared by the per-solve Gmg objects (hierarchy construction never
+  // touches solution state, so caching is bitwise-neutral); dropped by
+  // invalidateSolverCaches() on every real remesh.
   std::shared_ptr<const la::GmgHierarchy<DIM>> gmgHier_;
   std::unique_ptr<la::Gmg<DIM>> chGmg_, nsGmg_, ppGmg_;
   obs::Counter* gmgHierBuilds_ =

@@ -125,15 +125,14 @@ LinOp<Field> makeJacobi(const Mesh<DIM>& mesh, int ndof, Field diagBlocks) {
 /// The blocks are LU-factorized once at construction and every apply is a
 /// pivot/substitution sweep — O(ndof^2) per node instead of a fresh
 /// O(ndof^3) elimination, with zero per-apply allocations. Applies are
-/// bitwise identical to the unfactored legacy path (denseSolveFactored
-/// replays denseSolve exactly), so caching across Krylov and Newton
-/// iterations cannot perturb convergence histories.
+/// bitwise identical to a per-node denseSolve (denseSolveFactored replays
+/// it exactly), so caching across Krylov and Newton iterations cannot
+/// perturb convergence histories.
 template <int DIM>
 LinOp<Field> makeBlockJacobi(const Mesh<DIM>& mesh, int ndof,
                              Field diagBlocks) {
   const int nd2 = ndof * ndof;
-  // Factor every node block up front (tiny-diagonal guard first, exactly
-  // like the legacy path prepares blk before denseSolve).
+  // Factor every node block up front (tiny-diagonal guard first).
   Field fac = std::move(diagBlocks);
   std::vector<std::vector<int>> piv(mesh.nRanks());
   for (int rank = 0; rank < mesh.nRanks(); ++rank) {
@@ -158,35 +157,8 @@ LinOp<Field> makeBlockJacobi(const Mesh<DIM>& mesh, int ndof,
                            piv[rank].data() + i * ndof,
                            &z[rank][i * ndof]);
       }
-      // Charged like the legacy per-apply elimination so the simulated
-      // machine model (and therefore every calibrated run) is unchanged.
-      mesh.comm().chargeWork(rank, 2.0 * nn * ndof * ndof * ndof);
-    }
-  };
-}
-
-/// The historical block Jacobi: re-runs a full pivoted elimination per node
-/// per apply (two heap allocations per node inside denseSolve). Kept as the
-/// measured baseline for the solver-hot-path bench and as the bitwise
-/// reference for the factored path.
-template <int DIM>
-LinOp<Field> makeBlockJacobiUnfactored(const Mesh<DIM>& mesh, int ndof,
-                                       Field diagBlocks) {
-  return [&mesh, ndof, diag = std::move(diagBlocks)](const Field& r,
-                                                     Field& z) {
-    std::vector<Real> blk(ndof * ndof);
-    for (int rank = 0; rank < mesh.nRanks(); ++rank) {
-      const std::size_t nn = mesh.rank(rank).nNodes();
-      z[rank].assign(nn * ndof, 0.0);
-      for (std::size_t i = 0; i < nn; ++i) {
-        std::copy(diag[rank].begin() + i * ndof * ndof,
-                  diag[rank].begin() + (i + 1) * ndof * ndof, blk.begin());
-        for (int d = 0; d < ndof; ++d) {
-          z[rank][i * ndof + d] = r[rank][i * ndof + d];
-          if (std::abs(blk[d * ndof + d]) < 1e-300) blk[d * ndof + d] = 1.0;
-        }
-        denseSolve(ndof, blk, &z[rank][i * ndof]);
-      }
+      // Charged like a per-apply elimination so the simulated machine model
+      // (and therefore every calibrated run) is unchanged.
       mesh.comm().chargeWork(rank, 2.0 * nn * ndof * ndof * ndof);
     }
   };

@@ -110,9 +110,10 @@ class SimComm {
 
   /// Engine-level overlap gate (DESIGN.md §15). When set, the matvec and
   /// ghost-exchange paths that have a split-phase variant use it; when
-  /// clear they run the historical blocking epochs. Owned by the options
-  /// layer (ChnsOptions::commOverlap); raw SimComm users default to
-  /// blocking so existing call sites are untouched.
+  /// clear they run the blocking epochs (same values, different clock
+  /// charges). ChnsSolver sets it on construction; raw SimComm users
+  /// default to blocking, and fig4a/test_overlap clear it to compare the
+  /// two schedules.
   bool overlapEnabled() const { return overlap_; }
   void setOverlapEnabled(bool on) { overlap_ = on; }
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "apps/fields.hpp"
 #include "chns/solver.hpp"
+#include "obs/report.hpp"
 
 namespace pt {
 namespace {
@@ -155,12 +161,45 @@ TEST(ChnsSolver, AllInnerSolversConverge) {
   EXPECT_TRUE(s.lastChNewton_.converged);
   EXPECT_TRUE(s.lastNs_.converged);
   EXPECT_TRUE(s.lastPp_.converged);
+  EXPECT_TRUE(s.lastVuConverged_);
   EXPECT_GT(s.lastVuIterations_, 0);
+  const auto counters = s.telemetry().metrics.counters();
+  for (const char* k :
+       {"ch-unconverged", "ns-unconverged", "pp-unconverged", "vu-unconverged"})
+    EXPECT_EQ(counters.at(k).value, 0) << k;
   // Per-phase timers were populated (Fig 5's decomposition).
   EXPECT_GT(s.timers()["ch-solve"].seconds(), 0.0);
   EXPECT_GT(s.timers()["ns-solve"].seconds(), 0.0);
   EXPECT_GT(s.timers()["pp-solve"].seconds(), 0.0);
   EXPECT_GT(s.timers()["vu-solve"].seconds(), 0.0);
+}
+
+TEST(ChnsSolver, StepReportCountsUnconvergedSolves) {
+  sim::SimComm comm(1, sim::Machine::loopback());
+  auto opt = baseOptions();
+  opt.chNewton.maxIterations = 1;  // one Newton update cannot reach 1e-8
+  auto s = makeDropSolver(comm, 4, opt);
+  s.step();
+  EXPECT_FALSE(s.lastChNewton_.converged);
+  const std::string path = "test_chns_unconverged_steps.jsonl";
+  {
+    obs::StepReporter rep(path);
+    ASSERT_TRUE(rep.ok());
+    rep.writeStep(s.stepsTaken(), s.timers(), s.telemetry().metrics);
+  }
+  std::stringstream body;
+  body << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  const std::string line = body.str();
+  auto counter = [&](const std::string& name) -> long {
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t k = line.find(key);
+    return k == std::string::npos ? -1 : std::atol(line.c_str() + k + key.size());
+  };
+  // Both blocks of the step capped their single Newton iteration.
+  EXPECT_EQ(counter("ch-unconverged"), opt.blocksPerStep) << line;
+  for (const char* k : {"ns-unconverged", "pp-unconverged", "vu-unconverged"})
+    EXPECT_GE(counter(k), 0) << k << " missing from " << line;
 }
 
 TEST(ChnsSolver, PartitionInvarianceOfDiagnostics) {

@@ -6,9 +6,11 @@
 //   - pooled workspaces reproduce fresh-allocation solves bitwise, steady
 //     state allocates nothing, and clear() survives a remesh;
 //   - blocked BSR SpMV and factored block-Jacobi match their generic /
-//     unfactored references bitwise;
-//   - the CHNS stepper produces identical histories with resource reuse on
-//     and off, including across remeshes.
+//     per-node denseSolve references bitwise;
+//   - warm solver resources (pooled workspaces, cached preconditioners and
+//     GMG) are bitwise-neutral: a checkpoint restored into an already-stepped
+//     solver steps exactly like the same checkpoint restored cold, including
+//     across remeshes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include <new>
 
 #include "apps/fields.hpp"
+#include "chns/checkpoint.hpp"
 #include "chns/solver.hpp"
 #include "la/ksp.hpp"
 #include "la/pc.hpp"
@@ -332,6 +335,25 @@ TEST(DenseFactor, FactoredSolveMatchesDenseSolveBitwise) {
   EXPECT_EQ(x0, x1);
 }
 
+/// Reference node-block Jacobi: a fresh pivoted elimination (denseSolve)
+/// per node, with the same tiny-diagonal guard as makeBlockJacobi.
+Field blockJacobiReference(const Mesh<2>& mesh, int ndof, const Field& diag,
+                           const Field& r) {
+  Field z = mesh.makeField(ndof);
+  std::vector<Real> blk(ndof * ndof);
+  for (int rank = 0; rank < mesh.nRanks(); ++rank)
+    for (std::size_t i = 0; i < mesh.rank(rank).nNodes(); ++i) {
+      std::copy(diag[rank].begin() + i * ndof * ndof,
+                diag[rank].begin() + (i + 1) * ndof * ndof, blk.begin());
+      for (int d = 0; d < ndof; ++d) {
+        z[rank][i * ndof + d] = r[rank][i * ndof + d];
+        if (std::abs(blk[d * ndof + d]) < 1e-300) blk[d * ndof + d] = 1.0;
+      }
+      la::denseSolve(ndof, blk, &z[rank][i * ndof]);
+    }
+  return z;
+}
+
 TEST(BlockJacobi, FactoredMatchesUnfactoredBitwise) {
   sim::SimComm comm(2, sim::Machine::loopback());
   Mesh<2> mesh = bigMesh<2>(comm, 4);
@@ -345,26 +367,26 @@ TEST(BlockJacobi, FactoredMatchesUnfactoredBitwise) {
           diag[r][i * ndof * ndof + a * ndof + b] =
               rng.uniform(-1, 1) + (a == b ? 5.0 : 0.0);
   auto factored = la::makeBlockJacobi(mesh, ndof, diag);
-  auto legacy = la::makeBlockJacobiUnfactored(mesh, ndof, diag);
   const Field r = randomField(mesh, ndof, 501);
-  Field z1 = mesh.makeField(ndof), z2 = mesh.makeField(ndof);
+  Field z1 = mesh.makeField(ndof);
   factored(r, z1);
-  legacy(r, z2);
+  const Field z2 = blockJacobiReference(mesh, ndof, diag, r);
   for (int rank = 0; rank < mesh.nRanks(); ++rank)
     EXPECT_EQ(z1[rank], z2[rank]) << "rank " << rank;
 }
 
-// ---- CHNS end-to-end: resource reuse is bitwise-neutral ---------------------
+// ---- CHNS end-to-end: warm resources are bitwise-neutral --------------------
 
 template <int DIM>
-chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm, bool reuse,
-                                     int remeshEvery, Level level) {
+chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm, int remeshEvery,
+                                     Level level) {
   chns::ChnsOptions<DIM> opt;
   opt.params.Cn = 0.03;
   opt.dt = 1e-3;
   opt.blocksPerStep = 1;
   opt.remeshEvery = remeshEvery;
-  opt.reuseSolverResources = reuse;
+  opt.coarseLevel = 3;
+  opt.interfaceLevel = opt.featureLevel = opt.referenceLevel = 5;
   auto tree = DistTree<DIM>::fromGlobal(comm, uniformTree<DIM>(level));
   chns::ChnsSolver<DIM> s(comm, std::move(tree), opt);
   s.setInitialCondition([&](const VecN<DIM>& x) {
@@ -373,49 +395,90 @@ chns::ChnsSolver<DIM> makeDropSolver(sim::SimComm& comm, bool reuse,
   return s;
 }
 
-TEST(ChnsSolverReuse, HistoriesIdenticalWithAndWithoutReuse) {
-  sim::SimComm c1(1, sim::Machine::loopback());
-  sim::SimComm c2(1, sim::Machine::loopback());
-  auto base = makeDropSolver<2>(c1, false, 0, 5);
-  auto pooled = makeDropSolver<2>(c2, true, 0, 5);
-  for (int step = 0; step < 2; ++step) {
-    base.step();
-    pooled.step();
-    EXPECT_EQ(base.lastChNewton_.iterations, pooled.lastChNewton_.iterations);
-    EXPECT_EQ(base.lastChNewton_.totalLinearIterations,
-              pooled.lastChNewton_.totalLinearIterations);
-    EXPECT_EQ(base.lastChNewton_.residualNorm,
-              pooled.lastChNewton_.residualNorm);
-    EXPECT_EQ(base.lastNs_.iterations, pooled.lastNs_.iterations);
-    EXPECT_EQ(base.lastNs_.relResidual, pooled.lastNs_.relResidual);
-    EXPECT_EQ(base.lastPp_.iterations, pooled.lastPp_.iterations);
-    EXPECT_EQ(base.lastVuIterations_, pooled.lastVuIterations_);
-    for (int r = 0; r < base.mesh().nRanks(); ++r) {
-      EXPECT_EQ(base.phi()[r], pooled.phi()[r]) << "step " << step;
-      EXPECT_EQ(base.velocity()[r], pooled.velocity()[r]) << "step " << step;
-      EXPECT_EQ(base.pressure()[r], pooled.pressure()[r]) << "step " << step;
-    }
+/// Overwrites the state of an already-stepped solver with `ck`, keeping its
+/// warm workspaces, cached preconditioners, GMG hierarchy and no-op memo.
+/// The solver must sit on the checkpoint's tree.
+void restoreInto(chns::ChnsSolver<2>& s, sim::SimComm& comm,
+                 const io::Checkpoint<2>& ck) {
+  auto restored = io::restoreCheckpoint<2>(comm, ck);
+  for (int r = 0; r < comm.size(); ++r)
+    ASSERT_EQ(restored.tree.localOf(r), s.tree().localOf(r)) << "rank " << r;
+  for (auto& [name, field] : restored.nodal) {
+    if (name == "phi") s.phi() = std::move(field);
+    else if (name == "mu") s.mu() = std::move(field);
+    else if (name == "vel") s.velocity() = std::move(field);
+    else if (name == "p") s.pressure() = std::move(field);
+  }
+  for (auto& [name, vals] : restored.cell)
+    if (name == "cn") s.elemCn() = std::move(vals);
+  s.setStepsTaken(static_cast<int>(ck.metaOr("steps", 0)));
+}
+
+void expectSameStep(chns::ChnsSolver<2>& a, chns::ChnsSolver<2>& b,
+                    int step) {
+  EXPECT_EQ(a.lastChNewton_.iterations, b.lastChNewton_.iterations);
+  EXPECT_EQ(a.lastChNewton_.totalLinearIterations,
+            b.lastChNewton_.totalLinearIterations);
+  EXPECT_EQ(a.lastChNewton_.residualNorm, b.lastChNewton_.residualNorm);
+  EXPECT_EQ(a.lastNs_.iterations, b.lastNs_.iterations);
+  EXPECT_EQ(a.lastNs_.relResidual, b.lastNs_.relResidual);
+  EXPECT_EQ(a.lastPp_.iterations, b.lastPp_.iterations);
+  EXPECT_EQ(a.lastPp_.relResidual, b.lastPp_.relResidual);
+  EXPECT_EQ(a.lastVuIterations_, b.lastVuIterations_);
+  ASSERT_EQ(a.mesh().nRanks(), b.mesh().nRanks());
+  for (int r = 0; r < a.mesh().nRanks(); ++r) {
+    EXPECT_EQ(a.tree().localOf(r), b.tree().localOf(r)) << "step " << step;
+    EXPECT_EQ(a.phi()[r], b.phi()[r]) << "step " << step;
+    EXPECT_EQ(a.mu()[r], b.mu()[r]) << "step " << step;
+    EXPECT_EQ(a.velocity()[r], b.velocity()[r]) << "step " << step;
+    EXPECT_EQ(a.pressure()[r], b.pressure()[r]) << "step " << step;
+    EXPECT_EQ(a.elemCn()[r], b.elemCn()[r]) << "step " << step;
   }
 }
 
-TEST(ChnsSolverReuse, RemeshInvalidatesPooledResources) {
-  sim::SimComm c1(1, sim::Machine::loopback());
-  sim::SimComm c2(1, sim::Machine::loopback());
-  // remeshEvery=1: every step rebuilds the mesh, so stale workspaces or
-  // cached preconditioners would either crash (shape mismatch) or perturb
-  // the iteration; identical histories prove the invalidation hook works.
-  auto base = makeDropSolver<2>(c1, false, 1, 4);
-  auto pooled = makeDropSolver<2>(c2, true, 1, 4);
-  for (int step = 0; step < 2; ++step) {
-    base.step();
-    pooled.step();
-    EXPECT_EQ(base.lastChNewton_.totalLinearIterations,
-              pooled.lastChNewton_.totalLinearIterations);
-    EXPECT_EQ(base.lastPp_.iterations, pooled.lastPp_.iterations);
-    ASSERT_EQ(base.mesh().nRanks(), pooled.mesh().nRanks());
-    for (int r = 0; r < base.mesh().nRanks(); ++r)
-      EXPECT_EQ(base.phi()[r], pooled.phi()[r]) << "step " << step;
+/// Steps a solver once, checkpoints it in memory, steps it twice more
+/// (warming every pooled resource), restores the checkpoint into it, and
+/// restores the same checkpoint into a fresh solver. The two must then step
+/// bitwise identically for `steps` steps. With remeshEvery > 0 the mesh is
+/// first adapted until a remesh changes nothing; the two warming steps then
+/// remesh as no-ops, so the warm solver is still on the checkpoint's tree.
+void checkWarmVsCold(int remeshEvery, Level level, int steps) {
+  sim::SimComm cw(1, sim::Machine::loopback());
+  auto warm = makeDropSolver<2>(cw, remeshEvery, level);
+  if (remeshEvery > 0) {
+    for (int call = 0; call < 8 && warm.noopRemeshes() == 0; ++call)
+      warm.remeshNow();
+    ASSERT_EQ(warm.noopRemeshes(), 1);
   }
+  warm.step();
+  const auto ck = chns::makeSolverCheckpoint(warm);
+  warm.step();
+  warm.step();
+  restoreInto(warm, cw, ck);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  sim::SimComm cc(1, sim::Machine::loopback());
+  auto cold = chns::restoreSolverState<2>(cc, ck, warm.options());
+  const long rebuilds = warm.meshRebuilds();
+  for (int step = 0; step < steps; ++step) {
+    warm.step();
+    cold.step();
+    expectSameStep(warm, cold, step);
+  }
+  if (remeshEvery > 0)
+    EXPECT_GT(warm.meshRebuilds(), rebuilds) << "no real remesh compared";
+}
+
+TEST(ChnsSolverReuse, WarmRestoreMatchesColdRestore) {
+  checkWarmVsCold(/*remeshEvery=*/0, /*level=*/5, /*steps=*/2);
+}
+
+TEST(ChnsSolverReuse, WarmRestoreMatchesColdRestoreRemeshingEveryStep) {
+  // remeshEvery=1: the warm solver answers the first remeshes from its
+  // no-op memo with every cache kept, the cold one re-derives the verdict;
+  // the fourth step's remesh is real (the far field starts to coarsen), so
+  // stale or mis-shaped cached resources would crash or perturb it.
+  checkWarmVsCold(/*remeshEvery=*/1, /*level=*/4, /*steps=*/4);
 }
 
 TEST(ChnsSolverReuse, ThreadedStepMatchesSerialBelowThreshold) {
@@ -423,11 +486,11 @@ TEST(ChnsSolverReuse, ThreadedStepMatchesSerialBelowThreshold) {
   // run must be bitwise identical to serial (threaded pointwise ops are
   // exact; reductions take the serial path below the threshold).
   sim::SimComm c1(1, sim::Machine::loopback());
-  auto serial = makeDropSolver<2>(c1, true, 0, 5);
+  auto serial = makeDropSolver<2>(c1, 0, 5);
   serial.step();
   sim::SimComm c2(1, sim::Machine::loopback());
   ThreadGuard tg(4);
-  auto threaded = makeDropSolver<2>(c2, true, 0, 5);
+  auto threaded = makeDropSolver<2>(c2, 0, 5);
   threaded.step();
   EXPECT_EQ(serial.lastChNewton_.totalLinearIterations,
             threaded.lastChNewton_.totalLinearIterations);

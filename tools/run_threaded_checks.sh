@@ -3,9 +3,11 @@
 # (DESIGN.md §9, §11).
 #
 # 1. Full test suite under PT_NUM_THREADS=4: every suite must pass with the
-#    pool enabled, and the bitwise-identity tests in test_ksp_threading and
-#    test_remesh_fastpath compare threaded results against serial ones
-#    directly.
+#    pool enabled. The bitwise-identity tests in test_ksp_threading and
+#    test_remesh_fastpath compare threaded results against serial ones,
+#    warm solver resources against a cold restore, remesh-every-step no-ops
+#    against never remeshing, and the production block-Jacobi and
+#    erosion/dilation sweeps against their test-local references.
 # 2. The checkpoint/restart and distributed-invariant gate: the full suite
 #    again under PT_VALIDATE=1, so every remesh and restart in every test
 #    runs the tree/mesh/field invariant validator (DESIGN.md §10).
@@ -123,8 +125,10 @@ ctest --preset release-ubsan -R 'test_(simd_kernels|highorder|matvec_plan)$' "$@
 echo "== overlap: split-phase comm suite (serial, threads=4, tsan) =="
 # The bitwise on/off gate (DESIGN.md §15): every overlap engine — split
 # accumulate, two-pass matvecIndexed/matvecCoefBlocks, async transfer
-# epoch, commOverlap solver histories — must match the blocking path
-# exactly, serial and with the pool at 4 threads, and run clean under tsan.
+# epoch, and solver histories with the solver's comm switched back to
+# blocking (SimComm::setOverlapEnabled(false)) — must match the blocking
+# path exactly, serial and with the pool at 4 threads, and run clean under
+# tsan.
 ctest --preset release -R 'test_overlap$' "$@"
 ctest --preset release-threads -R 'test_overlap$' "$@"
 cmake --build --preset tsan --target test_overlap -- -j"$(nproc)"
