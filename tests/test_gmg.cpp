@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <deque>
+#include <functional>
+#include <limits>
+#include <memory>
 
 #include "apps/fields.hpp"
 #include "chns/params.hpp"
@@ -549,6 +553,157 @@ TEST(GmgChns, HierarchyRebuiltOnRealRemesh) {
   EXPECT_GT(builds, 1) << "real remesh did not invalidate the hierarchy";
   EXPECT_LE(builds, s.meshRebuilds() - r0 + 1)
       << "hierarchy rebuilt more than once per mesh";
+}
+
+// ---- CHNS graceful GMG degradation ------------------------------------------
+//
+// A two-rank drop adapted to levels 3..5. Each test squeezes one solve cap
+// (or poisons the state) so the V-cycle family under test degrades; the
+// counter values are the ones the solver has produced since degradation
+// landed, pinned so a restructuring of the lifecycle cannot shift them.
+
+chns::ChnsOptions<2> degradationOptions() {
+  chns::ChnsOptions<2> opt;
+  opt.params.Cn = 0.03;
+  opt.dt = 1e-3;
+  opt.blocksPerStep = 1;
+  opt.coarseLevel = 3;
+  opt.interfaceLevel = 5;
+  opt.featureLevel = 5;
+  opt.referenceLevel = 5;
+  return opt;
+}
+
+std::function<Real(const VecN<2>&)> dropAt(Real cx, Real cn) {
+  return [=](const VecN<2>& x) {
+    return apps::dropPhi<2>(x, VecN<2>{{cx, 0.5}}, 0.25, cn);
+  };
+}
+
+/// A solver on the drop's adapted mesh, with the drop re-sampled there.
+std::unique_ptr<chns::ChnsSolver<2>> adaptedDropSolver(
+    sim::SimComm& comm, const chns::ChnsOptions<2>& opt) {
+  auto s = std::make_unique<chns::ChnsSolver<2>>(
+      comm, DistTree<2>::fromGlobal(comm, uniformTree<2>(4)), opt);
+  s->setInitialCondition(dropAt(0.5, opt.params.Cn));
+  s->remeshNow();
+  s->setInitialCondition(dropAt(0.5, opt.params.Cn));
+  return s;
+}
+
+long counterOf(chns::ChnsSolver<2>& s, const char* name) {
+  return s.telemetry().metrics.counter(name).value();
+}
+
+/// Runs one step and returns the number of PP operator applies it made
+/// (one coefficient refresh + the initial residual + one per CG iteration,
+/// two per BiCGStab iteration).
+long stepPpOpCalls(chns::ChnsSolver<2>& s) {
+  const long c0 = s.timers()["pp-op"].calls();
+  s.step();
+  return s.timers()["pp-op"].calls() - c0;
+}
+
+TEST(ChnsGmgDegradation, ChRetiresAtItsCapUntilTheNextRealRemesh) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto opt = degradationOptions();
+  opt.chNewton.maxIterations = 4;
+  opt.chNewton.linear.maxIterations = 1;
+  auto s = adaptedDropSolver(comm, opt);
+  const long rebuilds = s->meshRebuilds();
+  s->step();
+  // Every inner GMRES stopped at its cap and Newton missed its tolerance:
+  // the CH V-cycle retires.
+  EXPECT_FALSE(s->lastChNewton_.converged);
+  EXPECT_EQ(s->lastChNewton_.iterations, 4);
+  EXPECT_EQ(s->lastChNewton_.totalLinearIterations, 4);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 1);
+  // A no-op remesh keeps the mesh, so the family stays retired: the next
+  // capped CH solve runs block-Jacobi and retires nothing.
+  s->remeshNow();
+  ASSERT_EQ(s->noopRemeshes(), 1);
+  ASSERT_EQ(s->meshRebuilds(), rebuilds);
+  s->step();
+  EXPECT_FALSE(s->lastChNewton_.converged);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 1);
+  // A real remesh re-arms it, and the capped solve retires it again.
+  s->setInitialCondition(dropAt(0.3, opt.params.Cn));
+  s->remeshNow();
+  ASSERT_GT(s->meshRebuilds(), rebuilds);
+  s->step();
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 2);
+  EXPECT_EQ(counterOf(*s, "gmgPcFallbacks"), 0);
+}
+
+TEST(ChnsGmgDegradation, NsRetiresWhenItsSolveMissesTolerance) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto opt = degradationOptions();
+  opt.nsKsp.maxIterations = 1;
+  auto s = adaptedDropSolver(comm, opt);
+  s->step();
+  EXPECT_FALSE(s->lastNs_.converged);
+  EXPECT_EQ(s->lastNs_.iterations, 1);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 1);
+  s->remeshNow();
+  ASSERT_EQ(s->noopRemeshes(), 1);
+  s->step();
+  EXPECT_FALSE(s->lastNs_.converged);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 1);  // still retired
+  EXPECT_EQ(counterOf(*s, "gmgPcFallbacks"), 0);
+}
+
+TEST(ChnsGmgDegradation, PpRetiresAndSwitchesToCg) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto opt = degradationOptions();
+  opt.ppKsp.maxIterations = 1;
+  auto s = adaptedDropSolver(comm, opt);
+  // GMG-preconditioned PP runs BiCGStab: 1 + 1 + 2 applies.
+  EXPECT_EQ(stepPpOpCalls(*s), 4);
+  EXPECT_FALSE(s->lastPp_.converged);
+  EXPECT_EQ(s->lastPp_.iterations, 1);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 1);
+  s->remeshNow();
+  ASSERT_EQ(s->noopRemeshes(), 1);
+  // Retired, it runs CG on the pooled Jacobi: 1 + 1 + 1 applies.
+  EXPECT_EQ(stepPpOpCalls(*s), 3);
+  EXPECT_FALSE(s->lastPp_.converged);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 1);
+  EXPECT_EQ(counterOf(*s, "gmgPcFallbacks"), 0);
+}
+
+TEST(ChnsGmgDegradation, NonFiniteStateIsNeverPublished) {
+  sim::SimComm comm(2, sim::Machine::loopback());
+  auto opt = degradationOptions();
+  auto s = adaptedDropSolver(comm, opt);
+  s->phi()[0][5] = std::numeric_limits<Real>::quiet_NaN();
+  const Field phi0 = s->phi(), mu0 = s->mu(), vel0 = s->velocity(),
+              p0 = s->pressure();
+  // The step returns normally. The NaN defeats the CH V-cycle (guarded
+  // fallback to block-Jacobi), CH and NS cap out and retire, their
+  // iterates fail the publish-time sanity check, and the pressure
+  // increment is zero.
+  ASSERT_NO_THROW(s->step());
+  EXPECT_FALSE(s->lastChNewton_.converged);
+  EXPECT_EQ(s->lastChNewton_.iterations, 12);
+  EXPECT_EQ(s->lastChNewton_.totalLinearIterations, 2400);
+  EXPECT_FALSE(s->lastNs_.converged);
+  EXPECT_EQ(s->lastNs_.iterations, 400);
+  EXPECT_EQ(s->lastPp_.iterations, 0);
+  EXPECT_EQ(counterOf(*s, "gmgRetirements"), 2);
+  EXPECT_EQ(counterOf(*s, "gmgPcFallbacks"), 3);
+  // Every field keeps its pre-step value: phi still carries the one NaN,
+  // nothing else turned non-finite.
+  auto sameBits = [](const Field& a, const Field& b) {
+    for (std::size_t r = 0; r < a.size(); ++r)
+      for (std::size_t i = 0; i < a[r].size(); ++i)
+        if (std::memcmp(&a[r][i], &b[r][i], sizeof(Real)) != 0) return false;
+    return true;
+  };
+  EXPECT_TRUE(sameBits(s->phi(), phi0));
+  EXPECT_TRUE(sameBits(s->mu(), mu0));
+  EXPECT_TRUE(sameBits(s->velocity(), vel0));
+  EXPECT_TRUE(sameBits(s->pressure(), p0));
+  EXPECT_TRUE(std::isnan(s->phi()[0][5]));
 }
 
 }  // namespace

@@ -79,7 +79,9 @@ PT_VALIDATE=1 ctest --preset tsan -R 'test_remesh_fastpath$' "$@"
 echo "== gmg: V-cycle + transfer suites (serial, threads=4, tsan, PT_VALIDATE=1) =="
 # The GMG preconditioner suite (DESIGN.md §13): hierarchy construction,
 # transfer-plan caching, V-cycle contraction, thread-count bitwise
-# identity, and the chns-level hierarchy cache tests; with it the
+# identity, the chns-level hierarchy cache tests, and the chns GMG
+# degradation tests (retire latches, guarded fallback, publish-time
+# sanity check, with their counters pinned); with it the
 # inter-grid suite (plan applies bitwise equal to transferNodal /
 # transferCell, one exchange per apply) — serial, with the pool at 4
 # threads, under tsan at 4 threads, and invariant-checked.
