@@ -4,10 +4,16 @@
 // domain volume, with the two next-coarser interface levels holding ~25% —
 // the quantitative statement of why adaptivity makes the run feasible.
 // (Our run is the scaled-down jet; levels shift down but the shape holds.)
+//
+// Writes a pt-step-v1 line per step to fig8_element_fraction_steps.jsonl
+// (override with PT_STEP_REPORT; summarize with tools/trace_summary.py):
+// solver iteration and unconverged counters, GMG retirements and
+// fallbacks, and gmg.coarse_fail, so the run's solver health is on record.
 #include <cstdio>
 
 #include "apps/fields.hpp"
 #include "chns/solver.hpp"
+#include "obs/report.hpp"
 #include "support/csv.hpp"
 
 using namespace pt;
@@ -80,7 +86,14 @@ int main() {
       if (initialPhi(x) < 0) v[0] = 1.0;
     });
   }
-  for (int step = 0; step < 6; ++step) s.step();
+  obs::StepReporter report;
+  if (!report.openFromEnv()) report.open("fig8_element_fraction_steps.jsonl");
+  for (int step = 1; step <= 6; ++step) {
+    s.step();
+    report.writeStep(step, s.timers(), s.telemetry().metrics, {},
+                     {{"t", step * opt.dt},
+                      {"elems", double(s.mesh().globalElemCount())}});
+  }
 
   auto leaves = s.tree().gather();
   auto hist = levelHistogram(leaves);
