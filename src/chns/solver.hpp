@@ -173,7 +173,6 @@ class ChnsSolver {
     postStepHook_ = std::move(hook);
     postStepEvery_ = every;
   }
-  void clearPostStepHook() { postStepHook_ = nullptr; }
 
   /// Runs the full invariant suite (tree, mesh, alignment, all solver
   /// fields) and throws CheckError on any violation, naming `where`.

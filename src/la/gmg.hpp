@@ -375,9 +375,6 @@ class Gmg {
     return hier_;
   }
 
-  /// Largest-eigenvalue estimate of D^-1 A at level l (after setup).
-  Real eigUpper(int l) const { return eig_.empty() ? 0.0 : eig_[l]; }
-
   /// One V-cycle z = M(r) on the fine level. z is conformed and zeroed.
   void apply(const Field& r, Field& z) {
     PT_SPAN("gmg-vcycle");

@@ -130,8 +130,6 @@ class CsrMatrix {
     return 0.0;
   }
 
-  const std::vector<GlobalIdx>& rowPtr() const { return rowPtr_; }
-  const std::vector<GlobalIdx>& colIdx() const { return colIdx_; }
   const std::vector<Real>& values() const { return val_; }
 
  private:
@@ -150,7 +148,6 @@ class BsrMatrix {
       : brows_(blockRows), bcols_(blockCols), bs_(bs) {}
 
   GlobalIdx blockRows() const { return brows_; }
-  int blockSize() const { return bs_; }
   bool assembled() const { return assembled_; }
   std::size_t nnzBlocks() const { return colIdx_.size(); }
 
