@@ -150,6 +150,11 @@ void writeJson(const std::vector<ConfigResult>& cfgs) {
       "7, " + std::to_string(kRemeshCalls) + " remesh calls, " +
       std::to_string(kTrials) + " trials, Cn=0.02";
   rep.info["states_identical"] = "true";
+  // The rebuild-everything remesh path and the figures derived from it
+  // (last recorded in the committed baselines).
+  rep.info["retired"] =
+      "baseline,speedup_fast_serial,speedup_fast_4t,"
+      "remesh_to_solve_fraction_baseline";
   for (const auto& cfg : cfgs) {
     obs::BenchConfig c;
     c.name = cfg.name;

@@ -11,6 +11,11 @@ the exit status is nonzero if any regression is found, or if a config or
 compared metric present in the baseline disappeared from the new report
 (schema drift hides regressions, so it fails loudly).
 
+A bench that stopped producing a config or derived key on purpose lists it
+in the new report's info["retired"], a comma-separated string of config
+names and derived keys. Those entries are printed as retired and do not
+fail the comparison; any other missing entry still does.
+
 Timing metrics on loaded CI machines are noisy; the threshold is the knob.
 Counters are compared exactly and reported (not failed) when they drift —
 a changed mesh_rebuilds count is a behavior change to investigate, but
@@ -52,13 +57,20 @@ def main(argv):
 
     regressions = []
     notes = []
+    retired = {name.strip()
+               for name in new.get("info", {}).get("retired", "").split(",")
+               if name.strip()}
+    gone = []
 
     new_cfgs = {c["name"]: c for c in new.get("configs", [])}
     for bc in base.get("configs", []):
         name = bc["name"]
         nc = new_cfgs.get(name)
         if nc is None:
-            regressions.append(f"config {name!r} missing from new report")
+            if name in retired:
+                gone.append(f"config {name!r}")
+            else:
+                regressions.append(f"config {name!r} missing from new report")
             continue
         for key, old_v in bc.get("metrics", {}).items():
             if not key.endswith("_sec"):
@@ -83,7 +95,10 @@ def main(argv):
         if not key.startswith("speedup"):
             continue
         if key not in new.get("derived", {}):
-            regressions.append(f"derived.{key} missing from new report")
+            if key in retired:
+                gone.append(f"derived.{key}")
+            else:
+                regressions.append(f"derived.{key} missing from new report")
             continue
         new_v = new["derived"][key]
         change = rel_change(old_v, new_v)
@@ -95,6 +110,8 @@ def main(argv):
 
     for line in notes:
         print(f"  ok  {line}")
+    for line in gone:
+        print(f"  retired  {line}")
     for line in regressions:
         print(f"  REGRESSION  {line}")
     if regressions:

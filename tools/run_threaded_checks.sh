@@ -29,7 +29,8 @@
 #    atomicity, and per-thread ring merges race the pool there), and once
 #    more with the tracer live (PT_TRACE) while the full release-threads
 #    environment is active, with the emitted trace schema-checked by
-#    tools/trace_summary.py; then the checker's own dropped-event tests.
+#    tools/trace_summary.py; then the checker's own dropped-event tests
+#    and bench_compare.py's retired-entry tests.
 # 7. The simd stage (DESIGN.md §8): the kernel-variant and high-order
 #    suites with the dispatch forced to the scalar tier (PT_SIMD=scalar —
 #    the pre-SIMD engine bitwise) and again with the widest detected tier,
@@ -106,6 +107,8 @@ ctest --preset release-trace -R 'test_chns$' "$@"
 python3 tools/trace_summary.py build/tests/ctest_trace.json
 # The checker's own dropped-event contract (warn by default, --no-drops fails).
 python3 tests/test_trace_summary.py
+# bench_compare.py: entries a report lists in info["retired"] are not missing.
+python3 tests/test_bench_compare.py
 
 echo "== simd: kernel tiers forced scalar / vector, serial + threads=4, tsan =="
 # PT_SIMD=scalar pins the pre-SIMD bitwise baseline; the unset run uses the
