@@ -1,24 +1,24 @@
 // Fig 5 companion (single node): per-solve wall-time breakdown of one CHNS
 // time step:
 //
-//   pooled-serial    gmgPrecond=false — pooled KSP workspaces, factorized
-//                    and cached (block-)Jacobi preconditioners, 1 thread.
-//   pooled-2t        same, with the thread pool at 2 threads.
-//   gmg-serial       gmgPrecond=true (the default) — matrix-free GMG
-//                    V-cycles preconditioning the CH Newton, NS momentum
-//                    and pressure-Poisson solves, 1 thread.
+//   gmg-serial       matrix-free GMG V-cycles preconditioning the CH
+//                    Newton, NS momentum and pressure-Poisson solves,
+//                    1 thread.
 //   gmg-2t           same, thread pool at 2 threads.
 //
 // The workload (2D drop, uniform level-6 mesh, 3 time steps) deliberately
-// stays below the kVecThreadMin / kSpmvThreadMin thresholds, so every
-// configuration runs the bitwise-identical serial reduction path and the
-// two block-Jacobi convergence histories MUST match exactly — the bench
-// aborts if any iteration count, residual, or field fingerprint differs.
-// The two GMG configs change the preconditioner (different Krylov history
-// by design), so they are held to (a) bitwise identity between gmg-serial
-// and gmg-2t — the V-cycle is thread-count invariant — and (b) solution
-// fingerprints matching pooled-serial to solver tolerance.
+// stays below the kVecThreadMin / kSpmvThreadMin thresholds, so both
+// configurations run the serial reduction path. They are held to (a)
+// bitwise identity between gmg-serial and gmg-2t — the V-cycle is
+// thread-count invariant; the bench aborts if any iteration count,
+// residual, or field fingerprint differs — and (b) gmg-serial's solution
+// fingerprints matching, to solver tolerance, those of the pooled
+// block-Jacobi path (kPooledFingerprints, recorded from that path before
+// it was removed).
 // Same-host reference reports: bench/baselines/<host-id>/BENCH_solver.json.
+// The configs and derived keys this bench no longer produces are listed in
+// the report's info["retired"], so tools/bench_compare.py reports them as
+// retired rather than missing.
 //
 // A second section measures the blocked BSR SpMV microkernel against the
 // generic runtime-block-size loop at bs=4 (the DIM+2 coupled-system size)
@@ -55,6 +55,21 @@ constexpr int kLevel = 6;
 const char* const kPhaseNames[] = {"vec", "op", "pc", "assemble"};
 const char* const kSolveNames[] = {"ch", "ns", "pp", "vu"};
 
+/// Per-step (phi, vel) fingerprints of the pooled block-Jacobi path
+/// (1 thread) on this workload, recorded from its last run.
+constexpr Real kPooledFingerprints[kSteps][2] = {
+    {2578.4051069256516, 8.0845215677629739e-17},
+    {2578.4050705950644, -1.3801995889084562e-16},
+    {2578.4050557975534, 1.2110856526342469e-17}};
+
+/// Report entries of configs this bench no longer runs: the allocate-per-
+/// call and pooled block-Jacobi solver paths, and the figures derived from
+/// them. Their last numbers are in the committed baselines.
+constexpr const char* kRetired =
+    "baseline-serial,pooled-serial,pooled-2t,speedup_pooled_serial,"
+    "speedup_pooled_2t,speedup_gmg_serial,speedup_gmg_2t,"
+    "ch_ksp_iter_ratio_gmg";
+
 struct StepRecord {
   // Convergence history — must be identical across configurations.
   int chNewton = 0, chLin = 0, ns = 0, pp = 0, vu = 0;
@@ -70,12 +85,6 @@ struct ConfigResult {
   std::vector<StepRecord> steps;
   double medianStepSec = 0;
   std::map<std::string, obs::PhaseStat> phases;  ///< cumulative, watched only
-
-  long long chLinTotal() const {
-    long long n = 0;
-    for (const auto& r : steps) n += r.chLin;
-    return n;
-  }
 };
 
 double median(std::vector<double> v) {
@@ -92,14 +101,13 @@ Real fingerprint(const Field& f, int nRanks) {
   return s;
 }
 
-ConfigResult runConfig(const std::string& name, int threads, bool gmg) {
+ConfigResult runConfig(const std::string& name, int threads) {
   support::ThreadPool::instance().setThreads(threads);
   sim::SimComm comm(1, sim::Machine::loopback());
   chns::ChnsOptions<2> opt;
   opt.params.Cn = 0.03;
   opt.dt = 1e-3;
   opt.blocksPerStep = 2;
-  opt.gmgPrecond = gmg;
   auto tree = DistTree<2>::fromGlobal(comm, uniformTree<2>(kLevel));
   chns::ChnsSolver<2> s(comm, std::move(tree), opt);
   s.setInitialCondition([&](const VecN<2>& x) {
@@ -218,6 +226,7 @@ void writeJson(const std::vector<ConfigResult>& cfgs, const BsrResult& bsr) {
                          ", " + std::to_string(kSteps) +
                          " steps, dt=1e-3, Cn=0.03";
   rep.info["histories_identical"] = "true";
+  rep.info["retired"] = kRetired;
   for (const auto& cfg : cfgs) {
     obs::BenchConfig c;
     c.name = cfg.name;
@@ -239,12 +248,6 @@ void writeJson(const std::vector<ConfigResult>& cfgs, const BsrResult& bsr) {
     c.counters["vu_ksp_iters"] = vu;
     rep.configs.push_back(std::move(c));
   }
-  // GMG vs the pooled block-Jacobi path it replaces as default.
-  rep.derived["speedup_gmg_serial"] =
-      cfgs[0].medianStepSec / cfgs[2].medianStepSec;
-  rep.derived["speedup_gmg_2t"] = cfgs[1].medianStepSec / cfgs[3].medianStepSec;
-  rep.derived["ch_ksp_iter_ratio_gmg"] =
-      double(cfgs[0].chLinTotal()) / double(cfgs[2].chLinTotal());
   rep.derived["bsr_bs4_generic_sec"] = bsr.genericSec;
   rep.derived["bsr_bs4_blocked_sec"] = bsr.blockedSec;
   rep.derived["bsr_bs4_speedup"] = bsr.speedup;
@@ -260,52 +263,42 @@ int main() {
   support::requireReleaseBuild("fig5_solver_breakdown");
 
   std::vector<ConfigResult> cfgs;
-  cfgs.push_back(runConfig("pooled-serial", /*threads=*/1, /*gmg=*/false));
-  cfgs.push_back(runConfig("pooled-2t", /*threads=*/2, /*gmg=*/false));
-  cfgs.push_back(runConfig("gmg-serial", /*threads=*/1, /*gmg=*/true));
-  cfgs.push_back(runConfig("gmg-2t", /*threads=*/2, /*gmg=*/true));
+  cfgs.push_back(runConfig("gmg-serial", /*threads=*/1));
+  cfgs.push_back(runConfig("gmg-2t", /*threads=*/2));
 
-  // Correctness gate 1: identical convergence histories and solution
-  // fingerprints across the block-Jacobi configurations, step by step.
+  // Correctness gate 1: the V-cycle is thread-count invariant, so the two
+  // configs must agree bitwise with each other, step by step...
   for (int st = 0; st < kSteps; ++st)
     if (!sameHistory(cfgs[0].steps[st], cfgs[1].steps[st])) {
-      std::fprintf(stderr,
-                   "FAIL: pooled-2t step %d diverged from pooled-serial "
-                   "(histories must be bitwise identical)\n",
-                   st);
-      return 1;
-    }
-  // Correctness gate 2: the V-cycle is thread-count invariant, so the two
-  // GMG configs must agree bitwise with each other...
-  for (int st = 0; st < kSteps; ++st)
-    if (!sameHistory(cfgs[2].steps[st], cfgs[3].steps[st])) {
       std::fprintf(stderr,
                    "FAIL: gmg-2t step %d diverged from gmg-serial "
                    "(V-cycle must be thread-count invariant)\n",
                    st);
       return 1;
     }
-  // ...and converge to the same solution as pooled-serial within solver
-  // tolerance (different preconditioner => different Krylov path, same
-  // fixed point; outer tolerances are 1e-8, give the fingerprints 1e-6).
+  // ...and converge to the same solution as the pooled block-Jacobi path
+  // within solver tolerance (different preconditioner => different Krylov
+  // path, same fixed point; outer tolerances are 1e-8, give the
+  // fingerprints 1e-6).
   for (int st = 0; st < kSteps; ++st) {
-    const StepRecord& a = cfgs[0].steps[st];
-    const StepRecord& g = cfgs[2].steps[st];
-    const Real tolPhi = 1e-6 * std::max<Real>(std::abs(a.phiSum), 1.0);
-    const Real tolVel = 1e-6 * std::max<Real>(std::abs(a.velSum), 1.0);
-    if (std::abs(a.phiSum - g.phiSum) > tolPhi ||
-        std::abs(a.velSum - g.velSum) > tolVel) {
+    const Real aPhi = kPooledFingerprints[st][0];
+    const Real aVel = kPooledFingerprints[st][1];
+    const StepRecord& g = cfgs[0].steps[st];
+    const Real tolPhi = 1e-6 * std::max<Real>(std::abs(aPhi), 1.0);
+    const Real tolVel = 1e-6 * std::max<Real>(std::abs(aVel), 1.0);
+    if (std::abs(aPhi - g.phiSum) > tolPhi ||
+        std::abs(aVel - g.velSum) > tolVel) {
       std::fprintf(stderr,
                    "FAIL: gmg-serial step %d solution fingerprint off "
-                   "pooled-serial beyond solver tolerance "
+                   "the pooled path beyond solver tolerance "
                    "(phi %.17g vs %.17g, vel %.17g vs %.17g)\n",
-                   st, a.phiSum, g.phiSum, a.velSum, g.velSum);
+                   st, aPhi, g.phiSum, aVel, g.velSum);
       return 1;
     }
   }
   std::printf(
-      "histories: block-Jacobi configs identical, gmg thread-invariant and "
-      "on pooled-serial to tolerance (%d steps)\n\n",
+      "histories: gmg thread-invariant and on the pooled path's "
+      "fingerprints to tolerance (%d steps)\n\n",
       kSteps);
 
   for (const auto& cfg : cfgs) {
@@ -321,15 +314,6 @@ int main() {
       std::printf(")\n");
     }
   }
-  const double spGmg = cfgs[0].medianStepSec / cfgs[2].medianStepSec;
-  const double spGmg2t = cfgs[1].medianStepSec / cfgs[3].medianStepSec;
-  const double chRatio =
-      double(cfgs[0].chLinTotal()) / double(cfgs[2].chLinTotal());
-  std::printf("\ngmg vs pooled: serial %.2fx, 2t %.2fx (target >= 1.8x); "
-              "CH Krylov iterations %lld -> %lld, %.1fx fewer (target >= "
-              "3x)\n",
-              spGmg, spGmg2t, cfgs[0].chLinTotal(), cfgs[2].chLinTotal(),
-              chRatio);
 
   BsrResult bsr = benchBsr();
   if (!bsr.bitwiseEqual) {

@@ -5,16 +5,18 @@
 //             system, Newton-Krylov), with the *elemental* Cahn number —
 //             this is where local Cahn plugs in.
 //   NS-solve: semi-implicit Crank-Nicolson linearized momentum (DIM-dof
-//             block system, GMRES + node-block Jacobi).
+//             block system, GMRES).
 //   PP-solve: variable-density pressure Poisson for the increment
-//             (CG + Jacobi, zero-mean pinned Neumann problem).
+//             (BiCGStab, zero-mean pinned Neumann problem).
 //   VU-solve: per-direction mass-matrix velocity correction; the operator
 //             and preconditioner are built once per mesh and reused for
 //             every direction and timestep (the paper's N*k matrix-size
 //             remark), halving/thirding the assembled footprint.
 //
 // All operators are applied matrix-free through the same gather/elemental/
-// scatter MATVEC that the scaling benches time.
+// scatter MATVEC that the scaling benches time. CH, NS and PP are
+// preconditioned by GMG V-cycles, each family falling back to its pooled
+// (block-)Jacobi when the V-cycle fails (GmgFamily below); VU uses Jacobi.
 //
 // Multi-tenancy contract (DESIGN.md §14): a ChnsSolver instance owns ALL of
 // its mutable state — fields, pooled Krylov workspaces, frozen-coefficient
@@ -80,42 +82,6 @@ struct ChnsOptions {
   la::NewtonOptions chNewton{
       .rtol = 1e-8, .atol = 1e-10, .maxIterations = 12,
       .linear = {.rtol = 1e-6, .maxIterations = 200}};
-
-  /// GMG-preconditioned CH/NS/PP solves: matrix-free V-cycles whose level
-  /// operators are frozen-coefficient mass/stiffness blocks routed through
-  /// the batched panel-GEMM engine. The coarsened-tree hierarchy is a pure
-  /// function of the current tree, built once per (mesh) and cached across
-  /// solves and no-op remeshes (dropped by invalidateSolverCaches on real
-  /// remeshes). Per-level variable coefficients (mobility, psi'' tables,
-  /// 1/rho(phi), local Cn) are volume-restricted down the tree chain, so
-  /// Newton's lagged-Jacobian reuse re-discretizes every level from the
-  /// current iterate. The whole path is bitwise identical for any thread
-  /// count. Off = the (block-)Jacobi preconditioners alone, factorized once
-  /// per (mesh, dt) and cached — the same applies the GMG path falls back to.
-  ///
-  /// Degradation is graceful, never fatal: a V-cycle apply that fails its
-  /// coarse solve (typed GmgCoarseSolveError) or returns non-finite values
-  /// falls back to the pooled block-Jacobi apply for that request, and a
-  /// solve family whose outer Krylov loop still caps out retires its GMG
-  /// until the next real remesh (counters gmgPcFallbacks /
-  /// gmgRetirements). Sharp-interface spinodal states — e.g. the fig8 jet,
-  /// where even block-Jacobi saturates every cap — thus run no worse than
-  /// the block-Jacobi path instead of failing the step.
-  bool gmgPrecond = true;
-
-  /// Per-solve GMG tuning. CH is a nonsymmetric 2x2 block system carrying
-  /// the frozen advection coupling on per-element convection blocks:
-  /// damped block-Jacobi smoothing (no eigenvalue estimation per Newton
-  /// iteration) and a BiCGStab coarse solve. NS level operators drop
-  /// convection and are SPD per component. PP is the variable-density
-  /// Poisson operator the paper names as the GMG target; Chebyshev
-  /// smoothing and a nodal-mean-deflated coarse CG.
-  la::GmgOptions gmgCh{.smoother = la::GmgSmoother::kBlockJacobi,
-                       .coarseSolve = {.rtol = 1e-2, .maxIterations = 200},
-                       .coarseBicgstab = true};
-  la::GmgOptions gmgNs{.smoother = la::GmgSmoother::kBlockJacobi,
-                       .coarseSolve = {.rtol = 1e-2, .maxIterations = 200}};
-  la::GmgOptions gmgPp{.coarseSolve = {.rtol = 1e-3, .maxIterations = 200}};
 
   /// Velocity Dirichlet data on the domain boundary (default: no-slip).
   std::function<void(const VecN<DIM>&, Real*)> velocityBc;
@@ -363,8 +329,7 @@ class ChnsSolver {
         fem::gatherElem(rm, e, phi_[r], 1, uLoc.data());
         const Real h = rm.elems[e].physSize();
         const Real cn = elemCn_[r].empty() ? opt_.params.Cn : elemCn_[r][e];
-        Real jac = 1;
-        for (int d = 0; d < DIM; ++d) jac *= h;
+        const Real jac = volumeOf(h);
         for (int q = 0; q < fem::Quadrature<DIM, 2>::kPoints; ++q) {
           Real phi = 0;
           VecN<DIM> g;
@@ -393,8 +358,7 @@ class ChnsSolver {
       for (std::size_t e = 0; e < rm.nElems(); ++e) {
         fem::gatherElem(rm, e, vel_[r], DIM, vLoc.data());
         const Real h = rm.elems[e].physSize();
-        Real jac = 1;
-        for (int d = 0; d < DIM; ++d) jac *= h;
+        const Real jac = volumeOf(h);
         for (int q = 0; q < fem::Quadrature<DIM, 2>::kPoints; ++q) {
           Real div = 0;
           for (int i = 0; i < kC; ++i)
@@ -447,78 +411,185 @@ class ChnsSolver {
     vuDiag_ = la::assembleDiagonalBlocks<DIM>(
         *mesh_, 1, [](const Octant<DIM>& oct, Real* Ae) {
           const auto& ref = fem::refMass<DIM>();
-          Real s = 1;
-          for (int d = 0; d < DIM; ++d) s *= oct.physSize();
+          const Real s = volumeOf(oct.physSize());
           for (std::size_t k = 0; k < ref.size(); ++k) Ae[k] = ref[k] * s;
         });
   }
 
-  /// Drops every resource tied to the current (mesh, dt): pooled KSP
-  /// workspaces and cached preconditioners. Called on every mesh rebuild —
-  /// stale-shaped workspace vectors or factorizations must never survive a
-  /// remesh.
+  /// Drops every resource tied to the current mesh: stale-shaped workspaces
+  /// or factorizations must never survive a remesh.
   void invalidateSolverCaches() {
     cacheInvalidations_->inc();
-    chWs_.clear();
-    nsWs_.clear();
-    ppWs_.clear();
+    for (GmgFamily* f : {&ch_, &ns_, &pp_}) f->reset();
     vuWs_.clear();
-    chPc_ = nullptr;
-    nsPc_ = nullptr;
-    ppPc0_ = nullptr;
     vuPc_ = nullptr;
-    chPcDt_ = nsPcDt_ = ppPcDt_ = -1;
-    // The Gmg objects hold level operators bound to the old meshes; the
-    // hierarchy is geometry of the old tree. Both die with it. (No-op
-    // remeshes return before reaching here, so the hierarchy survives them.)
-    chGmg_.reset();
-    nsGmg_.reset();
-    ppGmg_.reset();
+    // The hierarchy is geometry of the old tree and dies with it. (No-op
+    // remeshes return before reaching here, so it survives them.)
     gmgHier_.reset();
-    // A fresh mesh is a fresh chance: retired GMG families get retried.
-    chGmgRetired_ = nsGmgRetired_ = ppGmgRetired_ = false;
   }
 
-  // ---- GMG preconditioning (gmgPrecond) ------------------------------------
+  // ---- GMG preconditioning -------------------------------------------------
+  //
+  // CH, NS and PP are preconditioned by matrix-free V-cycles whose level
+  // operators are frozen-coefficient mass/stiffness blocks routed through
+  // the batched panel-GEMM engine, bitwise identical for any thread count.
 
-  /// The coarsened-tree hierarchy, built lazily once per mesh and shared by
-  /// the CH/NS/PP preconditioners. Depth covers the deepest per-solve
-  /// request; each Gmg clamps to its own level count.
-  const std::shared_ptr<const la::GmgHierarchy<DIM>>& ensureGmgHierarchy() {
+  /// Per-family V-cycle settings. CH (nonsymmetric 2x2 blocks with frozen
+  /// advection): damped block-Jacobi smoothing, no eigenvalue estimate per
+  /// Newton iteration, BiCGStab coarse solve. NS (convection dropped, SPD
+  /// per component): block-Jacobi. PP (the variable-density Poisson the
+  /// paper names as GMG target): Chebyshev, nodal-mean-deflated coarse CG.
+  static constexpr la::GmgOptions kChGmg{
+      .smoother = la::GmgSmoother::kBlockJacobi,
+      .coarseSolve = {.rtol = 1e-2, .maxIterations = 200},
+      .coarseBicgstab = true};
+  static constexpr la::GmgOptions kNsGmg{
+      .smoother = la::GmgSmoother::kBlockJacobi,
+      .coarseSolve = {.rtol = 1e-2, .maxIterations = 200}};
+  static constexpr la::GmgOptions kPpGmg{
+      .coarseSolve = {.rtol = 1e-3, .maxIterations = 200}};
+
+  /// One GMG-preconditioned solve family (CH, NS or PP): its V-cycle, the
+  /// retire latch, the pooled (block-)Jacobi fallback with the dt it was
+  /// factored for, and its Krylov workspace. Degradation runs through the
+  /// four steps below and is never fatal: a degraded family runs no worse
+  /// than its fallback (the fig8 jet, where even block-Jacobi saturates
+  /// every cap, still finishes its steps). reset() re-arms it.
+  class GmgFamily {
+   public:
+    GmgFamily(obs::Telemetry<sim::SimComm>& tel, const char* assemblePhase,
+              const char* pcPhase)
+        : timers_(&tel.phases),
+          assemblePhase_(assemblePhase),
+          pcPhase_(pcPhase),
+          fallbacks_(&tel.metrics.counter("gmgPcFallbacks")),
+          retirements_(&tel.metrics.counter("gmgRetirements")) {}
+
+    /// Step 1: rebuilds the V-cycle unless retired; a build that throws
+    /// (e.g. singular smoother blocks from a degenerate iterate) retires the
+    /// family. The state-independent fallback is factored per (mesh, dt).
+    template <class Build, class MakeFallback>
+    void prepare(Real dt, const Build& build,
+                 const MakeFallback& makeFallback) {
+      if (!retired_) {
+        try {
+          obs::TimedSpan at(*timers_, assemblePhase_);
+          gmg_ = build();
+        } catch (const CheckError&) {
+          retire();
+        }
+      }
+      if (!fallback_ || fallbackDt_ != dt) {
+        fallback_ = makeFallback();
+        fallbackDt_ = dt;
+      }
+    }
+
+    /// Step 2: one guarded V-cycle per apply while armed. The first apply
+    /// whose coarse solve throws (its typed error, or its Krylov's own
+    /// checks on e.g. a NaN inner product) or whose output is not finite
+    /// sticks the rest of the solve to the fallback, which is all a retired
+    /// family runs (any finite apply beats NaNs or a thrown step). `post`
+    /// runs after either.
+    la::LinOp<Field> preconditioner(std::function<void(Field&)> post = {}) {
+      return [this, post, failed = std::make_shared<bool>(retired_)](
+                 const Field& r, Field& z) {
+        obs::TimedSpan pt(*timers_, pcPhase_);
+        if (!*failed) {
+          try {
+            gmg_->apply(r, z);
+            *failed = !fieldFinite(z);
+          } catch (const CheckError&) {
+            *failed = true;
+          }
+          if (*failed) fallbacks_->inc();
+        }
+        if (*failed) fallback_(r, z);
+        if (post) post(z);
+      };
+    }
+
+    /// Step 3: the solve capped out or missed its tolerance, so the V-cycle
+    /// retires until the next real remesh. Idempotent.
+    void retire() {
+      if (retired_) return;
+      retired_ = true;
+      retirements_->inc();
+      gmg_.reset();
+    }
+
+    /// Step 4: false when `x` breaks kGmgSaneCap and must not be published.
+    bool publishable(const Field& x) {
+      if (fieldSane(x)) return true;
+      countFallback();
+      return false;
+    }
+
+    void countFallback() { fallbacks_->inc(); }
+    bool retired() const { return retired_; }
+
+    void reset() {
+      gmg_.reset();
+      retired_ = false;
+      fallback_ = nullptr;
+      ws.clear();
+    }
+
+    la::KspWorkspace<Field> ws;  ///< the family's pooled Krylov workspace
+
+   private:
+    obs::PhaseSet* timers_;
+    const char* assemblePhase_;
+    const char* pcPhase_;
+    obs::Counter* fallbacks_;    ///< guarded-apply and publish-time rescues
+    obs::Counter* retirements_;  ///< families retired for a mesh epoch
+    std::unique_ptr<la::Gmg<DIM>> gmg_;
+    bool retired_ = false;
+    la::LinOp<Field> fallback_;
+    Real fallbackDt_ = -1;
+  };
+
+  using CellCoef = sim::PerRank<std::vector<Real>>;
+
+  /// The frame every V-cycle build shares. The hierarchy is a pure function
+  /// of the tree, built once per mesh for every family. Each cell seed is
+  /// restricted down it in turn (volume-weighted, replayed from the cell
+  /// plans); `fill(m, c)` discretizes level mesh m from them (c[k]: seed k).
+  std::unique_ptr<la::Gmg<DIM>> buildGmg(
+      const la::GmgOptions& o,
+      const std::vector<std::function<CellCoef()>>& seeds,
+      const std::function<la::GmgLevelOps<DIM>(
+          const Mesh<DIM>&, const std::vector<const CellCoef*>&)>& fill) {
     if (!gmgHier_) {
-      const int levels =
-          std::max(opt_.gmgCh.levels,
-                   std::max(opt_.gmgNs.levels, opt_.gmgPp.levels));
-      const Level minLevel =
-          std::min(opt_.gmgCh.minLevel,
-                   std::min(opt_.gmgNs.minLevel, opt_.gmgPp.minLevel));
-      gmgHier_ = la::GmgHierarchy<DIM>::build(*comm_, tree_, mesh_.get(),
-                                              levels, minLevel);
+      gmgHier_ = la::GmgHierarchy<DIM>::build(
+          *comm_, tree_, mesh_.get(),
+          std::max({kChGmg.levels, kNsGmg.levels, kPpGmg.levels}),
+          std::min({kChGmg.minLevel, kNsGmg.minLevel, kPpGmg.minLevel}));
       gmgHierBuilds_->inc();
     }
-    return gmgHier_;
-  }
-
-  /// Restricts a per-element coefficient down the hierarchy's tree chain
-  /// (volume-weighted cell averaging per hop, replayed from the hierarchy's
-  /// cell plans). Level 0 is moved in as-is.
-  std::vector<sim::PerRank<std::vector<Real>>> gmgRestrictCell(
-      const la::GmgHierarchy<DIM>& hier, int numLevels,
-      sim::PerRank<std::vector<Real>> fine0) const {
-    std::vector<sim::PerRank<std::vector<Real>>> out;
-    out.reserve(numLevels);
-    out.push_back(std::move(fine0));
-    for (int l = 1; l < numLevels; ++l)
-      out.push_back(intergrid::applyCellPlan(*comm_, hier.cellPlans[l - 1],
-                                             out.back()));
-    return out;
+    const int L = std::min(gmgHier_->numLevels(), std::max(1, o.levels));
+    std::vector<std::vector<CellCoef>> restricted;  // [seed][level]
+    for (const auto& seed : seeds) {
+      std::vector<CellCoef>& chain = restricted.emplace_back();
+      chain.reserve(L);
+      chain.push_back(seed());
+      for (int l = 1; l < L; ++l)
+        chain.push_back(intergrid::applyCellPlan(
+            *comm_, gmgHier_->cellPlans[l - 1], chain.back()));
+    }
+    la::GmgOpFactory<DIM> factory = [&](const Mesh<DIM>& m, int l) {
+      std::vector<const CellCoef*> c;
+      for (const auto& chain : restricted) c.push_back(&chain[l]);
+      return fill(m, c);
+    };
+    return std::make_unique<la::Gmg<DIM>>(*comm_, gmgHier_, factory, o,
+                                          &tel_->metrics);
   }
 
   /// Element means of one component of a nodal field (hanging-consistent
   /// gather) — the cell seed the coefficient restriction starts from.
-  sim::PerRank<std::vector<Real>> elemMeanOf(const Field& f, int ndof,
-                                             int comp) const {
-    sim::PerRank<std::vector<Real>> out(mesh_->nRanks());
+  CellCoef elemMeanOf(const Field& f, int ndof, int comp) const {
+    CellCoef out(mesh_->nRanks());
     std::vector<Real> g(std::size_t(kC) * ndof);
     for (int r = 0; r < mesh_->nRanks(); ++r) {
       const RankMesh<DIM>& rm = mesh_->rank(r);
@@ -534,16 +605,6 @@ class ChnsSolver {
     return out;
   }
 
-  sim::PerRank<std::vector<Real>> elemCnCells() const {
-    sim::PerRank<std::vector<Real>> out(mesh_->nRanks());
-    for (int r = 0; r < mesh_->nRanks(); ++r) {
-      const std::size_t ne = mesh_->rank(r).nElems();
-      out[r].resize(ne);
-      for (std::size_t e = 0; e < ne; ++e) out[r][e] = cnOf(r, e);
-    }
-    return out;
-  }
-
   /// CH V-cycle: frozen 2x2 CH-Jacobian blocks per element, re-discretized
   /// per level from the restricted Newton iterate (phibar), local Cn, and
   /// the element-mean velocity. Advection rides on the convection-block
@@ -554,29 +615,32 @@ class ChnsSolver {
   /// BiCGStab diverge, costing more than the term buys. Rebuilt every
   /// makePc call — the Gmg is a pure function of (mesh, iterate, velocity,
   /// dt), so histories are independent of caching.
-  void buildChGmg(Real dt, const Field& u) {
-    obs::TimedSpan at(timers_, "ch-assemble");
-    const auto& hier = ensureGmgHierarchy();
-    const int L = std::min(hier->numLevels(), std::max(1, opt_.gmgCh.levels));
-    auto phibar = gmgRestrictCell(*hier, L, elemMeanOf(u, 2, 0));
-    auto cnL = gmgRestrictCell(*hier, L, elemCnCells());
-    std::array<std::vector<sim::PerRank<std::vector<Real>>>, DIM> vbar;
+  std::unique_ptr<la::Gmg<DIM>> buildChGmg(Real dt, const Field& u) {
+    auto cnCells = [&] {
+      CellCoef out(mesh_->nRanks());
+      for (int r = 0; r < mesh_->nRanks(); ++r)
+        for (std::size_t e = 0; e < mesh_->rank(r).nElems(); ++e)
+          out[r].push_back(cnOf(r, e));
+      return out;
+    };
+    std::vector<std::function<CellCoef()>> seeds{
+        [&] { return elemMeanOf(u, 2, 0); }, cnCells};
     for (int d = 0; d < DIM; ++d)
-      vbar[d] = gmgRestrictCell(*hier, L, elemMeanOf(vel_, DIM, d));
+      seeds.push_back([&, d] { return elemMeanOf(vel_, DIM, d); });
     const Params& P = opt_.params;
-    la::GmgOpFactory<DIM> factory =
-        [&](const Mesh<DIM>& m, int l) -> la::GmgLevelOps<DIM> {
-      auto cM = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
-      auto cK = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
-      auto cT = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
+    return buildGmg(kChGmg, seeds, [&](const Mesh<DIM>& m, const auto& c) {
+      const CellCoef &phibar = *c[0], &cnL = *c[1];
+      auto cM = std::make_shared<CellCoef>(m.nRanks());
+      auto cK = std::make_shared<CellCoef>(m.nRanks());
+      auto cT = std::make_shared<CellCoef>(m.nRanks());
       for (int r = 0; r < m.nRanks(); ++r) {
         const std::size_t ne = m.rank(r).nElems();
         (*cM)[r].resize(ne * 4);
         (*cK)[r].resize(ne * 4);
         (*cT)[r].assign(ne * std::size_t(DIM) * 4, 0.0);
         for (std::size_t e = 0; e < ne; ++e) {
-          const Real phi = phibar[l][r][e];
-          const Real cn = cnL[l][r][e];
+          const Real phi = phibar[r][e];
+          const Real cn = cnL[r][e];
           Real* bM = (*cM)[r].data() + e * 4;
           Real* bK = (*cK)[r].data() + e * 4;
           Real* bT = (*cT)[r].data() + e * std::size_t(DIM) * 4;
@@ -592,129 +656,100 @@ class ChnsSolver {
           bK[3] = 0.0;
           // (phi row, phi col) convection blocks: advection integrated by
           // parts (−v̄).
-          for (int d = 0; d < DIM; ++d) bT[d * 4] = -vbar[d][l][r][e];
+          for (int d = 0; d < DIM; ++d) bT[d * 4] = -(*c[2 + d])[r][e];
         }
       }
       return la::makeCoefBlockLevelOps<DIM>(m, 2, std::move(cM),
                                             std::move(cK), std::move(cT));
-    };
-    chGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
-                                            opt_.gmgCh, &tel_->metrics);
+    });
   }
 
   /// NS V-cycle: rho(phi)/dt mass + 0.5 eta(phi)/Re stiffness per velocity
   /// component, Dirichlet-wrapped with each level's own boundary mask.
-  void buildNsGmg(Real dt) {
-    obs::TimedSpan at(timers_, "ns-assemble");
-    const auto& hier = ensureGmgHierarchy();
-    const int L = std::min(hier->numLevels(), std::max(1, opt_.gmgNs.levels));
-    auto phibar = gmgRestrictCell(*hier, L, elemMeanOf(phi_, 1, 0));
+  std::unique_ptr<la::Gmg<DIM>> buildNsGmg(Real dt) {
     const Params& P = opt_.params;
-    la::GmgOpFactory<DIM> factory =
-        [&](const Mesh<DIM>& m, int l) -> la::GmgLevelOps<DIM> {
-      auto cM = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
-      auto cK = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
-      constexpr int nd2 = DIM * DIM;
-      for (int r = 0; r < m.nRanks(); ++r) {
-        const std::size_t ne = m.rank(r).nElems();
-        (*cM)[r].assign(ne * nd2, 0.0);
-        (*cK)[r].assign(ne * nd2, 0.0);
-        for (std::size_t e = 0; e < ne; ++e) {
-          const Real phi = phibar[l][r][e];
-          const Real rho = P.rho(phi), eta = P.eta(phi);
-          for (int a = 0; a < DIM; ++a) {
-            (*cM)[r][e * nd2 + a * DIM + a] = rho / dt;
-            (*cK)[r][e * nd2 + a * DIM + a] = 0.5 * eta / P.Re;
+    return buildGmg(
+        kNsGmg, {[&] { return elemMeanOf(phi_, 1, 0); }},
+        [&](const Mesh<DIM>& m, const auto& c) {
+          const CellCoef& phibar = *c[0];
+          auto cM = std::make_shared<CellCoef>(m.nRanks());
+          auto cK = std::make_shared<CellCoef>(m.nRanks());
+          constexpr int nd2 = DIM * DIM;
+          for (int r = 0; r < m.nRanks(); ++r) {
+            const std::size_t ne = m.rank(r).nElems();
+            (*cM)[r].assign(ne * nd2, 0.0);
+            (*cK)[r].assign(ne * nd2, 0.0);
+            for (std::size_t e = 0; e < ne; ++e) {
+              const Real phi = phibar[r][e];
+              const Real rho = P.rho(phi), eta = P.eta(phi);
+              for (int a = 0; a < DIM; ++a) {
+                (*cM)[r][e * nd2 + a * DIM + a] = rho / dt;
+                (*cK)[r][e * nd2 + a * DIM + a] = 0.5 * eta / P.Re;
+              }
+            }
           }
-        }
-      }
-      la::GmgLevelOps<DIM> ops =
-          la::makeCoefBlockLevelOps<DIM>(m, DIM, std::move(cM), std::move(cK));
-      // Per-level Dirichlet rows: the mask is owned by a shared_ptr kept
-      // alive inside the op closure (dirichletOp captures it by reference),
-      // and mirrored into ops.mask for the smoother-diagonal treatment.
-      auto mask = std::make_shared<Field>(fem::boundaryMask(m));
-      ops.op = [mask, inner = fem::dirichletOp(m, *mask,
-                                               std::move(ops.op), DIM)](
-                   const Field& x, Field& y) { inner(x, y); };
-      // ndof-wide mask (boundaryMask is one value per node).
-      Field wide = m.makeField(DIM);
-      for (int r = 0; r < m.nRanks(); ++r)
-        for (std::size_t i = 0; i < m.rank(r).nNodes(); ++i)
-          for (int a = 0; a < DIM; ++a)
-            wide[r][i * DIM + a] = (*mask)[r][i];
-      ops.mask = std::move(wide);
-      return ops;
-    };
-    nsGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
-                                            opt_.gmgNs, &tel_->metrics);
+          la::GmgLevelOps<DIM> ops = la::makeCoefBlockLevelOps<DIM>(
+              m, DIM, std::move(cM), std::move(cK));
+          // Per-level Dirichlet rows: the mask is owned by a shared_ptr kept
+          // alive inside the op closure (dirichletOp captures it by
+          // reference), and mirrored into ops.mask for the smoother-diagonal
+          // treatment.
+          auto mask = std::make_shared<Field>(fem::boundaryMask(m));
+          ops.op = [mask, inner = fem::dirichletOp(m, *mask,
+                                                   std::move(ops.op), DIM)](
+                       const Field& x, Field& y) { inner(x, y); };
+          // ndof-wide mask (boundaryMask is one value per node).
+          Field wide = m.makeField(DIM);
+          for (int r = 0; r < m.nRanks(); ++r)
+            for (std::size_t i = 0; i < m.rank(r).nNodes(); ++i)
+              for (int a = 0; a < DIM; ++a)
+                wide[r][i * DIM + a] = (*mask)[r][i];
+          ops.mask = std::move(wide);
+          return ops;
+        });
   }
 
   /// PP V-cycle: the paper's variable-density Poisson target. Level
   /// operators are dt/(We rho(phi)) stiffness with the restricted phi;
   /// every level carries the Euclidean nodal-mean deflation of its own
   /// node set (the operator is singular Neumann on every level).
-  void buildPpGmg(Real dt) {
-    obs::TimedSpan at(timers_, "pp-assemble");
-    const auto& hier = ensureGmgHierarchy();
-    const int L = std::min(hier->numLevels(), std::max(1, opt_.gmgPp.levels));
-    auto phibar = gmgRestrictCell(*hier, L, elemMeanOf(phi_, 1, 0));
+  std::unique_ptr<la::Gmg<DIM>> buildPpGmg(Real dt) {
     const Params& P = opt_.params;
-    la::GmgOpFactory<DIM> factory =
-        [&](const Mesh<DIM>& m, int l) -> la::GmgLevelOps<DIM> {
-      auto cM = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
-      auto cK = std::make_shared<sim::PerRank<std::vector<Real>>>(m.nRanks());
-      for (int r = 0; r < m.nRanks(); ++r) {
-        const std::size_t ne = m.rank(r).nElems();
-        (*cM)[r].assign(ne, 0.0);
-        (*cK)[r].resize(ne);
-        for (std::size_t e = 0; e < ne; ++e)
-          (*cK)[r][e] = dt / (P.We * P.rho(phibar[l][r][e]));
-      }
-      la::GmgLevelOps<DIM> ops =
-          la::makeCoefBlockLevelOps<DIM>(m, 1, std::move(cM), std::move(cK));
-      // Euclidean nodal-mean deflation on this level's own node set; the
-      // level operator is also projection-wrapped so the coarse Krylov
-      // solve stays on the deflated subspace.
-      auto ones = std::make_shared<Field>(m.makeField(1));
-      for (int r = 0; r < m.nRanks(); ++r)
-        std::fill((*ones)[r].begin(), (*ones)[r].end(), 1.0);
-      const Real nNodes = static_cast<Real>(m.globalNodeCount());
-      auto project = [&m, ones, nNodes](Field& f) {
-        const Real mean = m.dot(*ones, f, 1) / nNodes;
-        for (std::size_t r = 0; r < f.size(); ++r)
-          for (Real& v : f[r]) v -= mean;
-      };
-      ops.project = project;
-      ops.op = [inner = std::move(ops.op), project](const Field& x,
-                                                    Field& y) {
-        inner(x, y);
-        project(y);
-      };
-      return ops;
-    };
-    ppGmg_ = std::make_unique<la::Gmg<DIM>>(*comm_, hier, factory,
-                                            opt_.gmgPp, &tel_->metrics);
-  }
-
-  /// One guarded V-cycle apply. Returns false — leaving z unusable — when
-  /// the coarse solve raises its typed error or the cycle emits non-finite
-  /// values (e.g. a BiCGStab breakdown on a degenerate Newton state); the
-  /// caller then substitutes its pooled block-Jacobi apply. Swapping the
-  /// preconditioner mid-Krylov weakens the subspace identities the methods
-  /// assume, but the swap only ever fires in regimes where the cycle is
-  /// returning garbage — any finite SPD-ish apply beats NaNs or a thrown
-  /// step.
-  bool gmgApplyGuarded(la::Gmg<DIM>& g, const Field& r, Field& z) {
-    try {
-      g.apply(r, z);
-    } catch (const CheckError&) {
-      // GmgCoarseSolveError, or the coarse Krylov's own invariant checks
-      // tripping on a degenerate input (e.g. "not positive definite" from a
-      // NaN inner product).
-      return false;
-    }
-    return fieldFinite(z);
+    return buildGmg(
+        kPpGmg, {[&] { return elemMeanOf(phi_, 1, 0); }},
+        [&](const Mesh<DIM>& m, const auto& c) {
+          const CellCoef& phibar = *c[0];
+          auto cM = std::make_shared<CellCoef>(m.nRanks());
+          auto cK = std::make_shared<CellCoef>(m.nRanks());
+          for (int r = 0; r < m.nRanks(); ++r) {
+            const std::size_t ne = m.rank(r).nElems();
+            (*cM)[r].assign(ne, 0.0);
+            (*cK)[r].resize(ne);
+            for (std::size_t e = 0; e < ne; ++e)
+              (*cK)[r][e] = dt / (P.We * P.rho(phibar[r][e]));
+          }
+          la::GmgLevelOps<DIM> ops = la::makeCoefBlockLevelOps<DIM>(
+              m, 1, std::move(cM), std::move(cK));
+          // Euclidean nodal-mean deflation on this level's own node set;
+          // the level operator is also projection-wrapped so the coarse
+          // Krylov solve stays on the deflated subspace.
+          auto ones = std::make_shared<Field>(m.makeField(1));
+          for (int r = 0; r < m.nRanks(); ++r)
+            std::fill((*ones)[r].begin(), (*ones)[r].end(), 1.0);
+          const Real nNodes = static_cast<Real>(m.globalNodeCount());
+          auto project = [&m, ones, nNodes](Field& f) {
+            const Real mean = m.dot(*ones, f, 1) / nNodes;
+            for (std::size_t r = 0; r < f.size(); ++r)
+              for (Real& v : f[r]) v -= mean;
+          };
+          ops.project = project;
+          ops.op = [inner = std::move(ops.op), project](const Field& x,
+                                                        Field& y) {
+            inner(x, y);
+            project(y);
+          };
+          return ops;
+        });
   }
 
   static bool fieldFinite(const Field& f) {
@@ -724,19 +759,23 @@ class ChnsSolver {
     return true;
   }
 
-  /// Publish-time sanity bound for GMG-preconditioned solutions. A capped
-  /// Krylov loop behind a near-singular V-cycle can return astronomically
-  /// large (finite) iterates; squaring those in the next residual assembly
-  /// overflows to NaN. Physical fields in these nondimensional systems are
-  /// O(1e2) at worst, so anything beyond the cap means the solve diverged
-  /// and its result must not enter the state. The block-Jacobi path never
-  /// trips this (its capped solves stay bounded).
+  /// Publish-time sanity bound. A capped Krylov loop behind a near-singular
+  /// V-cycle can return huge finite iterates that overflow to NaN in the
+  /// next residual; physical fields here are O(1e2) at worst, so anything
+  /// beyond the cap diverged. Capped block-Jacobi solves stay bounded.
   static constexpr Real kGmgSaneCap = 1e8;
   static bool fieldSane(const Field& f) {
     for (std::size_t r = 0; r < f.size(); ++r)
       for (const Real v : f[r])
         if (!(std::abs(v) <= kGmgSaneCap)) return false;  // catches NaN too
     return true;
+  }
+
+  /// h^DIM: the Jacobian of an element of side h.
+  static Real volumeOf(Real h) {
+    Real jac = 1;
+    for (int d = 0; d < DIM; ++d) jac *= h;
+    return jac;
   }
 
   Real cnOf(int r, std::size_t e) const {
@@ -863,8 +902,7 @@ class ChnsSolver {
             fem::gatherElem(rm, e, phiOld[r], 1, po.data());
             fem::gatherElem(rm, e, velOld[r], DIM, vo.data());
             const Real h = oct.physSize(), cn = cnOf(r, e);
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             for (int q = 0; q < nq; ++q) {
               Real phi = 0, mu = 0, phio = 0;
               VecN<DIM> gphi, gmu, v;
@@ -951,8 +989,7 @@ class ChnsSolver {
             [&, dt](int r, std::size_t e, const Octant<DIM>& oct,
                     const Real* in, Real* out) {
               const Real h = oct.physSize(), cn = cnOf(r, e);
-              Real jac = 1;
-              for (int d = 0; d < DIM; ++d) jac *= h;
+              const Real jac = volumeOf(h);
               // Per-element table of bt.dN/h, so the inner loops are pure
               // fused multiply-adds.
               Real dNh[nq][kC][DIM];
@@ -1007,8 +1044,7 @@ class ChnsSolver {
             const auto& refM = fem::refMass<DIM>();
             const auto& refK = fem::refStiffness<DIM>();
             const Real h = oct.physSize();
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             const Real kscale = (DIM == 2) ? 1.0 : h;
             const Real cn = opt_.params.Cn;
             const int n = kC * 2;
@@ -1025,72 +1061,28 @@ class ChnsSolver {
           });
     };
 
+    // Lagged-Jacobian reuse: newton calls makePc once per outer iteration,
+    // matching makeJ, and the V-cycle is re-discretized from that iterate.
     auto makePc = [&, dt](const Field& state) -> la::LinOp<Field> {
-      if (opt_.gmgPrecond && !chGmgRetired_) {
-        // Matrix-free V-cycle on the frozen CH Jacobian, re-discretized per
-        // level from the current Newton iterate (lagged-Jacobian reuse:
-        // newton calls makePc once per outer iteration, matching makeJ).
-        // The pooled block-Jacobi below is kept warm as the graceful-
-        // degradation fallback; once an apply fails, the rest of this
-        // linear solve skips the V-cycle outright. Construction itself can
-        // fail too — a degenerate iterate can make a level's smoother
-        // blocks singular — and retires the family the same way.
-        try {
-          buildChGmg(dt, state);
-        } catch (const CheckError&) {
-          chGmgRetired_ = true;
-          gmgRetirements_->inc();
-          chGmg_.reset();
-        }
-      }
-      // The diagonal approximation is state-independent, so the factorized
-      // blocks are cached per (mesh, dt) instead of being rebuilt on every
-      // Newton iteration.
-      if (!chPc_ || chPcDt_ != dt) {
-        chPc_ = la::makeBlockJacobi(*mesh_, 2, assembleChDiag());
-        chPcDt_ = dt;
-      }
-      if (opt_.gmgPrecond && !chGmgRetired_)
-        return [this, failed = std::make_shared<bool>(false)](const Field& r,
-                                                              Field& z) {
-          obs::TimedSpan pt(timers_, "ch-pc");
-          if (!*failed && gmgApplyGuarded(*chGmg_, r, z)) return;
-          if (!*failed) gmgPcFallbacks_->inc();
-          *failed = true;
-          chPc_(r, z);
-        };
-      return [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "ch-pc");
-        chPc_(r, z);
-      };
+      ch_.prepare(
+          dt, [&] { return buildChGmg(dt, state); },
+          [&] { return la::makeBlockJacobi(*mesh_, 2, assembleChDiag()); });
+      return ch_.preconditioner();
     };
 
     auto res = la::newton<la::FieldSpace<DIM>>(S, U, residual, makeJ, makePc,
-                                               opt_.chNewton, &chWs_);
+                                               opt_.chNewton, &ch_.ws);
     lastChNewton_ = res;
-    if (opt_.gmgPrecond && !chGmgRetired_ && !res.converged &&
-        res.iterations > 0 &&
+    // Every inner GMRES saturated its cap: sharp-interface spinodal states
+    // defeat the frozen coarse coefficients.
+    if (!res.converged && res.iterations > 0 &&
         res.totalLinearIterations >=
-            res.iterations * opt_.chNewton.linear.maxIterations) {
-      // Every inner GMRES saturated its cap: the V-cycle is not
-      // preconditioning this regime (sharp-interface spinodal states defeat
-      // the frozen coarse coefficients). Retire it until the next real
-      // remesh instead of paying for ineffective cycles.
-      chGmgRetired_ = true;
-      gmgRetirements_->inc();
-      chGmg_.reset();
-    }
-    if (opt_.gmgPrecond && !fieldSane(U)) {
-      // A degenerate preconditioned solve overflowed the iterate. Keep the
-      // pre-solve phi/mu (block-Jacobi caps publish bounded garbage, never
-      // NaN — downstream solves must be able to rely on that) and retire
-      // the CH V-cycle for this mesh epoch.
-      gmgPcFallbacks_->inc();
-      if (!chGmgRetired_) {
-        chGmgRetired_ = true;
-        gmgRetirements_->inc();
-        chGmg_.reset();
-      }
+            res.iterations * opt_.chNewton.linear.maxIterations)
+      ch_.retire();
+    if (!ch_.publishable(U)) {
+      // Keep the pre-solve phi/mu: downstream solves rely on never seeing
+      // NaN. The CH V-cycle retires for this mesh epoch.
+      ch_.retire();
       return;
     }
     // Unpack.
@@ -1178,8 +1170,7 @@ class ChnsSolver {
           [&, dt](int r, std::size_t e, const Octant<DIM>& /*oct*/,
                   const Real* in, Real* out) {
             const Real h = mesh_->rank(r).elems[e].physSize();
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             // bt.dN/h hoisted per element — identical division, done once.
             Real dNh[nq][kC][DIM];
             for (int q = 0; q < nq; ++q)
@@ -1234,8 +1225,7 @@ class ChnsSolver {
             fem::gatherElem(rm, e, velOld[r], DIM, vo.data());
             fem::gatherElem(rm, e, p_[r], 1, pr.data());
             const Real h = oct.physSize(), cn = cnOf(r, e);
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             for (int q = 0; q < nq; ++q) {
               Real rho, eta;
               VecN<DIM> Jf, gphi;
@@ -1292,8 +1282,7 @@ class ChnsSolver {
             const auto& refM = fem::refMass<DIM>();
             const auto& refK = fem::refStiffness<DIM>();
             const Real h = oct.physSize();
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             const Real kscale = (DIM == 2) ? 1.0 : h;
             const int n = kC * DIM;
             for (int i = 0; i < kC; ++i)
@@ -1305,52 +1294,19 @@ class ChnsSolver {
               }
           });
     };
-    la::LinOp<Field> M;
-    if (opt_.gmgPrecond && !nsGmgRetired_) {
-      // V-cycle on the variable-coefficient time + viscous part (the
-      // block-Jacobi diagonal above ignores rho/eta; the GMG levels do
-      // not). Construction failures retire the family for this epoch.
-      try {
-        buildNsGmg(dt);
-      } catch (const CheckError&) {
-        nsGmgRetired_ = true;
-        gmgRetirements_->inc();
-        nsGmg_.reset();
-      }
-    }
-    const bool nsUseGmg = opt_.gmgPrecond && !nsGmgRetired_;
-    // The pooled diagonal doubles as the GMG graceful-degradation fallback.
-    if (!nsPc_ || nsPcDt_ != dt) {
-      nsPc_ = la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag());
-      nsPcDt_ = dt;
-    }
-    if (nsUseGmg) {
-      M = [this, failed = std::make_shared<bool>(false)](const Field& r,
-                                                         Field& z) {
-        obs::TimedSpan pt(timers_, "ns-pc");
-        if (!*failed && gmgApplyGuarded(*nsGmg_, r, z)) return;
-        if (!*failed) gmgPcFallbacks_->inc();
-        *failed = true;
-        nsPc_(r, z);
-      };
-    } else {
-      M = [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "ns-pc");
-        nsPc_(r, z);
-      };
-    }
+    // V-cycle on the variable-coefficient time + viscous part (the
+    // block-Jacobi diagonal above ignores rho/eta; the GMG levels do not).
+    ns_.prepare(
+        dt, [&] { return buildNsGmg(dt); },
+        [&] { return la::makeBlockJacobi(*mesh_, DIM, assembleNsDiag()); });
+    la::LinOp<Field> M = ns_.preconditioner();
 
     Field vstar = vel_;  // initial guess
     fem::copyMasked(*mesh_, mask_, g, vstar, DIM);
-    lastNs_ = la::gmres(S, A, rhsBc, vstar, opt_.nsKsp, &M, &nsWs_);
-    if (nsUseGmg && !lastNs_.converged) {
-      nsGmgRetired_ = true;
-      gmgRetirements_->inc();
-      nsGmg_.reset();
-    }
-    if (opt_.gmgPrecond && !fieldSane(vstar)) {
+    lastNs_ = la::gmres(S, A, rhsBc, vstar, opt_.nsKsp, &M, &ns_.ws);
+    if (!lastNs_.converged) ns_.retire();
+    if (!ns_.publishable(vstar)) {
       // Same contract as the CH guard: never publish non-finite velocity.
-      gmgPcFallbacks_->inc();
       vstar = vel_;
       fem::copyMasked(*mesh_, mask_, g, vstar, DIM);
     }
@@ -1397,8 +1353,7 @@ class ChnsSolver {
           [&](int r, std::size_t e, const Octant<DIM>& oct,
               const Real* in, Real* out) {
             const Real h = oct.physSize();
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             // bt.dN/h hoisted per element — identical division, done once.
             Real dNh[nq][kC][DIM];
             for (int q = 0; q < nq; ++q)
@@ -1432,8 +1387,7 @@ class ChnsSolver {
             const RankMesh<DIM>& rm = mesh_->rank(r);
             fem::gatherElem(rm, e, velStar_[r], DIM, vs.data());
             const Real h = oct.physSize();
-            Real jac = 1;
-            for (int d = 0; d < DIM; ++d) jac *= h;
+            const Real jac = volumeOf(h);
             for (int q = 0; q < nq; ++q) {
               Real div = 0;
               for (int i = 0; i < kC; ++i)
@@ -1460,74 +1414,31 @@ class ChnsSolver {
               Ae[k] = refK[k] * kscale * dt / P.We;
           });
     };
-    la::LinOp<Field> M;
-    if (opt_.gmgPrecond && !ppGmgRetired_) {
-      // V-cycle on the variable-density Poisson operator, every level
-      // deflated against its own constant nullspace. Construction failures
-      // retire the family for this epoch.
-      try {
-        buildPpGmg(dt);
-      } catch (const CheckError&) {
-        ppGmgRetired_ = true;
-        gmgRetirements_->inc();
-        ppGmg_.reset();
-      }
-    }
-    const bool ppUseGmg = opt_.gmgPrecond && !ppGmgRetired_;
-    // State-independent diagonal: assembled once per (mesh, dt). The pooled
-    // Jacobi doubles as the GMG graceful-degradation fallback.
-    if (!ppPc0_ || ppPcDt_ != dt) {
-      ppPc0_ = la::makeJacobi(*mesh_, 1, assemblePpDiag());
-      ppPcDt_ = dt;
-    }
-    if (ppUseGmg) {
-      M = [this, failed = std::make_shared<bool>(false)](const Field& r,
-                                                         Field& z) {
-        obs::TimedSpan pt(timers_, "pp-pc");
-        if (*failed || !gmgApplyGuarded(*ppGmg_, r, z)) {
-          if (!*failed) gmgPcFallbacks_->inc();
-          *failed = true;
-          ppPc0_(r, z);
-        }
-        projectNodalMean(z);
-      };
-    } else {
-      M = [this](const Field& r, Field& z) {
-        obs::TimedSpan pt(timers_, "pp-pc");
-        ppPc0_(r, z);
-        projectNodalMean(z);
-      };
-    }
+    // V-cycle on the variable-density Poisson operator, every level
+    // deflated against its own constant nullspace.
+    pp_.prepare(
+        dt, [&] { return buildPpGmg(dt); },
+        [&] { return la::makeJacobi(*mesh_, 1, assemblePpDiag()); });
+    la::LinOp<Field> M =
+        pp_.preconditioner([this](Field& z) { projectNodalMean(z); });
     // The V-cycle (injection restriction != prolongation^T) is not
-    // symmetric, so preconditioned CG theory does not apply; BiCGStab
-    // carries the GMG path. The non-GMG path keeps CG.
-    //
-    // With gmgPrecond on, the solve is additionally allowed to fail soft:
-    // upstream GMG-degraded solves can hand this system states on which
-    // the deflated Jacobi preconditioner (Jacobi-then-project is mildly
-    // nonsymmetric) makes CG graze pAp <= 0, and BiCGStab can break down
-    // to a non-finite iterate. Either way the pressure increment for this
-    // block is skipped (dp = 0) instead of failing the step; the
-    // gmgPrecond=off path keeps its throwing semantics.
+    // symmetric, so BiCGStab carries it; a retired family runs CG on the
+    // deflated Jacobi. Either may break down on states upstream degraded
+    // solves hand over (CG grazing pAp <= 0 under the mildly nonsymmetric
+    // Jacobi-then-project, BiCGStab going non-finite): the pressure
+    // increment for this block is then skipped (dp = 0), not the step.
     try {
-      lastPp_ = ppUseGmg
-                    ? la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M, &ppWs_)
-                    : la::cg(S, A, rhs, dp, opt_.ppKsp, &M, &ppWs_);
+      lastPp_ = pp_.retired()
+                    ? la::cg(S, A, rhs, dp, opt_.ppKsp, &M, &pp_.ws)
+                    : la::bicgstab(S, A, rhs, dp, opt_.ppKsp, &M, &pp_.ws);
     } catch (const CheckError&) {
-      if (!opt_.gmgPrecond) throw;
-      gmgPcFallbacks_->inc();
+      pp_.countFallback();
       lastPp_ = la::KspResult{};
       for (auto& v : dp) std::fill(v.begin(), v.end(), 0.0);
     }
-    if (ppUseGmg && !lastPp_.converged) {
-      ppGmgRetired_ = true;
-      gmgRetirements_->inc();
-      ppGmg_.reset();
-    }
-    if (opt_.gmgPrecond && !fieldSane(dp)) {
-      gmgPcFallbacks_->inc();
+    if (!lastPp_.converged) pp_.retire();
+    if (!pp_.publishable(dp))
       for (auto& v : dp) std::fill(v.begin(), v.end(), 0.0);
-    }
     projectZeroMean(dp);  // physical normalization: zero mass-weighted mean
     dp_ = std::move(dp);
     // p^{n+1} = p^n + dp
@@ -1575,8 +1486,7 @@ class ChnsSolver {
               fem::gatherElem(rm, e, dp_[r], 1, dpl.data());
               fem::gatherElem(rm, e, phi_[r], 1, ph.data());
               const Real h = oct.physSize();
-              Real jac = 1;
-              for (int d = 0; d < DIM; ++d) jac *= h;
+              const Real jac = volumeOf(h);
               for (int q = 0; q < nq; ++q) {
                 Real va = 0, phi = 0, gdp = 0;
                 for (int i = 0; i < kC; ++i) {
@@ -1643,32 +1553,27 @@ class ChnsSolver {
   int postStepEvery_ = 1;
 
   // Pooled solver resources: Krylov workspaces kept warm across time steps
-  // and preconditioners cached per (mesh, dt). All invalidated by
-  // invalidateSolverCaches() on remesh.
-  la::KspWorkspace<Field> chWs_, nsWs_, ppWs_, vuWs_;
-  la::LinOp<Field> chPc_, nsPc_, ppPc0_, vuPc_;
-  Real chPcDt_ = -1, nsPcDt_ = -1, ppPcDt_ = -1;
+  // and preconditioners cached per (mesh, dt), the three GMG-preconditioned
+  // families holding their own. All invalidated by invalidateSolverCaches()
+  // on remesh.
+  GmgFamily ch_{*tel_, "ch-assemble", "ch-pc"};
+  GmgFamily ns_{*tel_, "ns-assemble", "ns-pc"};
+  GmgFamily pp_{*tel_, "pp-assemble", "pp-pc"};
+  la::KspWorkspace<Field> vuWs_;
+  la::LinOp<Field> vuPc_;
   std::unique_ptr<la::FieldSpace<DIM>> scalarSpace_;
   // Frozen-coefficient caches for the matrix-free operators: per-element,
   // per-quad-point linearization state, rebuilt at each operator
   // construction and sized to the current mesh (storage reused across
   // solves). Only read while the owning solve's state fields are alive.
   Field chJCoef_, nsCoef_, ppCoef_;
-  // GMG preconditioning (gmgPrecond): one coarsened-tree hierarchy per
-  // mesh, shared by the per-solve Gmg objects (hierarchy construction never
-  // touches solution state, so caching is bitwise-neutral); dropped by
-  // invalidateSolverCaches() on every real remesh.
+  // One coarsened-tree hierarchy per mesh, shared by the three families'
+  // Gmg objects (hierarchy construction never touches solution state, so
+  // caching is bitwise-neutral); dropped by invalidateSolverCaches() on
+  // every real remesh.
   std::shared_ptr<const la::GmgHierarchy<DIM>> gmgHier_;
-  std::unique_ptr<la::Gmg<DIM>> chGmg_, nsGmg_, ppGmg_;
   obs::Counter* gmgHierBuilds_ =
       &tel_->metrics.counter("gmgHierarchyBuilds");
-  // Graceful GMG degradation (see the gmgPrecond doc): per-family retire
-  // latches, reset on every real remesh.
-  bool chGmgRetired_ = false, nsGmgRetired_ = false, ppGmgRetired_ = false;
-  obs::Counter* gmgPcFallbacks_ =
-      &tel_->metrics.counter("gmgPcFallbacks");  ///< guarded-apply rescues
-  obs::Counter* gmgRetirements_ = &tel_->metrics.counter(
-      "gmgRetirements");  ///< families retired for a mesh epoch
 };
 
 }  // namespace pt::chns

@@ -79,15 +79,7 @@ enum class GmgSmoother {
 
 struct GmgOptions {
   int levels = 3;  ///< including the fine level
-  int preSmooth = 2;
-  int postSmooth = 2;
   GmgSmoother smoother = GmgSmoother::kChebyshev;
-  Real omega = 0.7;  ///< damping for the Jacobi-type smoothers
-  /// Chebyshev interval [eigLoFrac*lam, eigHiSafety*lam] around the power-
-  /// iteration estimate lam of the largest eigenvalue of D^-1 A.
-  int powerIterations = 8;
-  Real eigLoFrac = 0.25;
-  Real eigHiSafety = 1.1;
   KspOptions coarseSolve{.rtol = 1e-8, .maxIterations = 200};
   bool coarseBicgstab = false;  ///< nonsymmetric coarse systems
   Level minLevel = 1;           ///< do not coarsen octants below this
@@ -410,6 +402,18 @@ class Gmg {
   }
 
  private:
+  /// Smoothing sweeps (the Chebyshev degree) before and after the coarse
+  /// correction, the damping of the Jacobi-type smoothers, and the
+  /// Chebyshev interval [kEigLoFrac*lam, kEigHiSafety*lam] around the
+  /// kPowerIterations power-iteration estimate lam of the largest
+  /// eigenvalue of D^-1 A.
+  static constexpr int kPreSmooth = 2;
+  static constexpr int kPostSmooth = 2;
+  static constexpr Real kOmega = 0.7;
+  static constexpr int kPowerIterations = 8;
+  static constexpr Real kEigLoFrac = 0.25;
+  static constexpr Real kEigHiSafety = 1.1;
+
   // ---- serial vector helpers (bitwise thread-count invariant) -----------
 
   static void subInto(const Field& a, const Field& b, Field& out) {
@@ -493,7 +497,7 @@ class Gmg {
     if (nrm < 1e-300) return lam;
     for (int rk = 0; rk < m.nRanks(); ++rk)
       for (Real& x : v[rk]) x /= nrm;
-    for (int it = 0; it < opt_.powerIterations; ++it) {
+    for (int it = 0; it < kPowerIterations; ++it) {
       o.op(v, Av);
       dinv_[l](Av, t);
       nrm = std::sqrt(m.dot(t, t, nd));
@@ -508,7 +512,7 @@ class Gmg {
     return lam;
   }
 
-  /// Chebyshev(deg) on the interval [eigLoFrac, eigHiSafety] * lam of
+  /// Chebyshev(deg) on the interval [kEigLoFrac, kEigHiSafety] * lam of
   /// D^-1 A (the standard three-term recurrence; one operator application
   /// per degree). `xZero` skips the initial residual matvec.
   void smoothChebyshev(int l, const Field& b, Field& x, int deg,
@@ -516,8 +520,8 @@ class Gmg {
     if (deg <= 0) return;
     const GmgLevelOps<DIM>& o = ops_[l];
     const Real lam = eig_[l];
-    const Real hi = opt_.eigHiSafety * lam;
-    const Real lo = opt_.eigLoFrac * lam;
+    const Real hi = kEigHiSafety * lam;
+    const Real lo = kEigLoFrac * lam;
     const Real theta = 0.5 * (hi + lo);
     const Real delta = 0.5 * (hi - lo);
     const Real sigma = theta / delta;
@@ -577,7 +581,7 @@ class Gmg {
       } else {
         dinv_[l](r, t);
       }
-      addScaled(x, opt_.omega, t);
+      addScaled(x, kOmega, t);
     }
   }
 
@@ -638,7 +642,7 @@ class Gmg {
       coarseSolve(l, b, x);
       return;
     }
-    smooth(l, b, x, opt_.preSmooth, /*xZero=*/true);
+    smooth(l, b, x, kPreSmooth, /*xZero=*/true);
     // Residual -> next coarser level (injection + weak-residual scaling).
     const Mesh<DIM>& fine = hier_->meshAt(l);
     const Mesh<DIM>& coarse = hier_->meshAt(l + 1);
@@ -670,7 +674,7 @@ class Gmg {
       addScaled(x, 1.0, ef);
       obsAdd(levelHist_[l].prolong, t0);
     }
-    smooth(l, b, x, opt_.postSmooth, /*xZero=*/false);
+    smooth(l, b, x, kPostSmooth, /*xZero=*/false);
   }
 
   // Wall-clock sampling for the per-level obs histograms; compiled to
